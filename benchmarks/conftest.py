@@ -7,13 +7,13 @@ sweeps run exactly once via ``benchmark.pedantic``.
 
 A session-finish hook additionally dumps ``benchmarks/BENCH_core_ops.json``
 whenever the core-ops micro-benchmarks ran: op -> median ns plus the
-stream sizes exercised and the pre-kernel seed baselines, so future PRs
-can track the perf trajectory without re-running the seed.
+stream sizes exercised and the pure-Python seed baselines, so future
+PRs can track the perf trajectory without re-running the seed.
 
 Observability is switched on for the bench session (set ``REPRO_OBS=0``
-to opt out) and its snapshot -- cache hit rates, kernel path counts --
-is embedded in the artifact under ``"obs"``, so every recorded number
-carries the execution-path evidence behind it.
+to opt out) and its snapshot -- cache hit rates, bound evaluation
+counts -- is embedded in the artifact under ``"obs"``, so every
+recorded number carries the execution-path evidence behind it.
 """
 
 import datetime
@@ -25,8 +25,9 @@ import sys
 import pytest
 
 #: Median ns of the pure-Python seed (commit 64402ba) on the reference
-#: container, recorded before the NumPy kernel layer landed; kept here
-#: so every regenerated artifact carries its own before/after story.
+#: container, recorded before the (since removed) NumPy kernel layer
+#: landed; kept here so every regenerated artifact carries its own
+#: before/after story.
 SEED_BASELINE_NS = {
     "test_bench_aggregate": 1_381_570,
     "test_bench_multiplex_pair": 62_633,
@@ -56,7 +57,7 @@ def pytest_sessionstart(session):
 
 
 def _obs_summary():
-    """Cache hit rates and kernel path counts from the bench run."""
+    """Cache hit rates and bound evaluation counts from the bench run."""
     from repro import obs
     registry = obs.get_registry()
     if not registry.enabled:
@@ -80,16 +81,15 @@ def _obs_summary():
             "hits": hit, "misses": miss,
             "hit_rate": round(hit / (hit + miss), 4) if hit + miss else None,
         }
-    kernel_paths = {}
+    evaluations = {}
     for name, _kind, instruments in registry.families():
-        if name == "kernel_path_total":
+        if name == "bound_evaluations_total":
             for instrument in instruments:
-                labels = dict(instrument.labels)
-                key = f"{labels.get('op', '?')}/{labels.get('path', '?')}"
-                kernel_paths[key] = instrument.value
+                op = dict(instrument.labels).get("op", "?")
+                evaluations[op] = instrument.value
     return {
         "caches": caches,
-        "kernel_path_counts": dict(sorted(kernel_paths.items())),
+        "bound_evaluation_counts": dict(sorted(evaluations.items())),
         "checks_total": registry.total("cac_checks_total"),
     }
 

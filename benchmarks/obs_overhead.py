@@ -86,7 +86,7 @@ def main(argv=None) -> int:
                              "(default 1.10)")
     args = parser.parse_args(argv)
 
-    # Warm both paths (numpy import, cache fill, handle binding).
+    # Warm both paths (cache fill, handle binding).
     obs.disable()
     measure()
     obs.enable()

@@ -84,11 +84,11 @@ def test_bench_fast_path_identity_and_exact_call_reduction(once):
     def run_both():
         runs = {}
         for label, fast in (("exact", False), ("screened", True)):
-            before = _counter_totals("kernel_path_total", "op")
+            before = _counter_totals("bound_evaluations_total", "op")
             report = run_scenario(replace(SCENARIO, fast_path=fast))
-            paths = _delta(_counter_totals("kernel_path_total", "op"),
-                           before)
-            runs[label] = (report, paths.get("delay_bound", 0))
+            evaluations = _delta(
+                _counter_totals("bound_evaluations_total", "op"), before)
+            runs[label] = (report, evaluations.get("delay_bound", 0))
         return runs
 
     runs = once(run_both)

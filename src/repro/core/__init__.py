@@ -33,7 +33,6 @@ from .delay_bound import (
     departure_time,
     is_stable,
 )
-from .kernels import kernels_enabled
 from .plane import AdmissionPlane, SetupOutcome
 from .port_state import PortState
 from .server import AdmissionDecision, AuditEntry, CacServer, PlanReport
@@ -56,6 +55,15 @@ from .traffic import (
     equivalent_vbr_for_cbr_set,
     worst_case_cell_times,
 )
+
+
+def kernels_enabled() -> bool:
+    """Always ``False``: stream arithmetic is pure Python.
+
+    Kept for callers that record it in their run metadata.
+    """
+    return False
+
 
 __all__ = [
     "BitStream",

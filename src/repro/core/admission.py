@@ -976,8 +976,12 @@ class NetworkCAC:
 
         Admits **exactly the same set** as applying :meth:`setup` to the
         requests one by one in order (catching per-request
-        :class:`AdmissionError`), and leaves every switch -- aggregates,
-        committed legs, journal -- in the bit-identical state.  The
+        :class:`AdmissionError`), with identical committed legs,
+        ``Sia`` aggregates and journals on every switch.  Derived float
+        caches, and the port bounds computed from them, may differ from
+        the sequential walk's in the last few ulps (about 1e-14
+        relative): the batched apply rebuilds them from scratch where
+        the sequential walk patches them one delta at a time.  The
         difference is cost: when the channel is lossless (no fault
         injector), the candidate legs are grouped by switch and each
         switch runs one :meth:`~repro.core.switch_cac.SwitchCAC.check_batch`

@@ -61,11 +61,6 @@ _RATE_TOLERANCE = 1e-9
 __all__ = ["BitStream", "Number", "aggregate", "ZERO_STREAM"]
 
 
-def _is_exact(value: Number) -> bool:
-    """True when ``value`` participates in exact (int/Fraction) arithmetic."""
-    return isinstance(value, (int, Fraction))
-
-
 class BitStream:
     """An immutable step-wise bit stream ``S = {(r(k), t(k))}``.
 
@@ -93,7 +88,7 @@ class BitStream:
     3.0
     """
 
-    __slots__ = ("_rates", "_times", "_kernel")
+    __slots__ = ("_rates", "_times")
 
     def __init__(self, rates: Sequence[Number], times: Sequence[Number]):
         if len(rates) != len(times):
@@ -112,7 +107,7 @@ class BitStream:
             if rate < 0:
                 if rate < -_RATE_TOLERANCE:
                     raise BitStreamError(f"negative rate {rate} at t={time}")
-                rate = 0 * rate  # clamp float noise, preserving the type
+                rate = type(rate)(0)  # clamp noise to +0 of the same type
             if canon_times and time < canon_times[-1]:
                 raise BitStreamError(
                     f"times must be non-decreasing, got {time} after "
@@ -139,7 +134,6 @@ class BitStream:
 
         self._rates: Tuple[Number, ...] = tuple(canon_rates)
         self._times: Tuple[Number, ...] = tuple(canon_times)
-        self._kernel = None  # lazily built NumPy fast path (see `kernel`)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -154,41 +148,6 @@ class BitStream:
     def zero(cls) -> "BitStream":
         """The empty stream (rate 0 everywhere)."""
         return cls([0], [0])
-
-    @classmethod
-    def _from_canonical(cls, rates: Sequence[Number],
-                        times: Sequence[Number],
-                        kernel=None) -> "BitStream":
-        """Trusted constructor for already-canonical segment lists.
-
-        Used by the NumPy kernels, which canonicalize on arrays with the
-        exact semantics of ``__init__`` and can hand over a pre-built
-        :class:`~repro.core.kernels.StreamKernel` for free.
-        """
-        stream = cls.__new__(cls)
-        stream._rates = tuple(rates)
-        stream._times = tuple(times)
-        stream._kernel = kernel
-        return stream
-
-    # ------------------------------------------------------------------
-    # NumPy fast path
-    # ------------------------------------------------------------------
-
-    @property
-    def kernel(self):
-        """The NumPy fast-path kernel, or ``None`` on the exact path.
-
-        Built once per stream, on first use: float streams (no Fraction
-        anywhere, at least one float) get a
-        :class:`repro.core.kernels.StreamKernel`; exact int/Fraction
-        streams -- and every stream when NumPy is unavailable -- return
-        ``None`` and keep the generic scalar algorithms.
-        """
-        if self._kernel is None:
-            from .kernels import build_kernel
-            self._kernel = build_kernel(self._rates, self._times) or False
-        return self._kernel or None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -238,13 +197,7 @@ class BitStream:
         """
         if t < 0:
             raise ValueError(f"time must be non-negative, got {t}")
-        kernel = None if isinstance(t, Fraction) else self.kernel
-        if kernel is not None:
-            # searchsorted for the index only; the returned rate is the
-            # original Python object, so types are preserved exactly.
-            return self._rates[int(kernel.segment_index(t))]
-        index = self._segment_index(t)
-        return self._rates[index]
+        return self._rates[self._segment_index(t)]
 
     def _segment_index(self, t: Number) -> int:
         """Index ``k`` of the segment containing ``t`` (binary search)."""
@@ -270,9 +223,6 @@ class BitStream:
         """
         if t < 0:
             raise ValueError(f"time must be non-negative, got {t}")
-        kernel = None if isinstance(t, Fraction) else self.kernel
-        if kernel is not None:
-            return float(kernel.bits(t))
         total: Number = 0
         for index, (rate, start) in enumerate(zip(self._rates, self._times)):
             end = self._times[index + 1] if index + 1 < len(self._times) else None
@@ -291,9 +241,6 @@ class BitStream:
             raise ValueError(f"amount must be non-negative, got {amount}")
         if amount == 0:
             return 0 * amount
-        kernel = None if isinstance(amount, Fraction) else self.kernel
-        if kernel is not None:
-            return kernel.time_of_bits(amount)
         total: Number = 0
         for index, (rate, start) in enumerate(zip(self._rates, self._times)):
             end = self._times[index + 1] if index + 1 < len(self._times) else None
@@ -323,10 +270,6 @@ class BitStream:
         """Multiplex two streams: worst case rates add (Algorithm 3.2)."""
         if not isinstance(other, BitStream):
             return NotImplemented
-        mine, theirs = self.kernel, other.kernel
-        if mine is not None and theirs is not None:
-            from .kernels import merge_fast
-            return merge_fast(mine, theirs, subtract=False)
         return _merge(self, other, lambda a, b: a + b)
 
     def __sub__(self, other: "BitStream") -> "BitStream":
@@ -338,10 +281,6 @@ class BitStream:
         """
         if not isinstance(other, BitStream):
             return NotImplemented
-        mine, theirs = self.kernel, other.kernel
-        if mine is not None and theirs is not None:
-            from .kernels import merge_fast
-            return merge_fast(mine, theirs, subtract=True)
         return _merge(self, other, lambda a, b: a - b)
 
     def patched(self, old: "BitStream", new: "BitStream") -> "BitStream":
@@ -349,15 +288,8 @@ class BitStream:
 
         The cache-patch form of Algorithms 3.2/3.3 -- how the
         incremental admission caches replace one input's contribution
-        without re-aggregating.  On the kernel path the three streams
-        are combined over a single breakpoint union (one pass, no
-        intermediate canonicalization) with the same per-point
-        ``(a - b) + c`` arithmetic as the two pairwise merges.
+        without re-aggregating.
         """
-        kernels = (self.kernel, old.kernel, new.kernel)
-        if all(kernel is not None for kernel in kernels):
-            from .kernels import patch_fast
-            return patch_fast(*kernels)
         return _merge(_merge(self, old, lambda a, b: a - b), new,
                       lambda a, b: a + b)
 
@@ -640,35 +572,17 @@ def aggregate(streams: Iterable[BitStream]) -> BitStream:
     connections.
     Returns the zero stream for an empty iterable.
 
-    Float streams take the NumPy concatenate-sort-prefix-sum kernel;
-    exact (int/Fraction) inputs keep exact arithmetic via a heap merge
-    of per-stream rate deltas -- O(B log k) in the total breakpoint
-    count B, replacing the old O(B * k) cursor walk.
+    Each stream contributes rate *deltas* at its own breakpoints; a heap
+    merge visits them in global time order and a running sum yields the
+    aggregate's step function -- O(B log k) in the total breakpoint
+    count B.
     """
-    stream_list = []
-    kernels = []
-    for stream in streams:
-        if stream.is_zero:
-            continue
-        stream_list.append(stream)
-        if kernels is not None:
-            kernel = stream.kernel
-            if kernel is None:
-                kernels = None
-            else:
-                kernels.append(kernel)
+    stream_list = [stream for stream in streams if not stream.is_zero]
     if not stream_list:
         return ZERO_STREAM
     if len(stream_list) == 1:
         return stream_list[0]
 
-    if kernels is not None:
-        from .kernels import aggregate_fast
-        return aggregate_fast(kernels)
-
-    # Exact path: each stream contributes rate *deltas* at its own
-    # breakpoints; a heap merge visits them in global time order and a
-    # running sum yields the aggregate's step function.
     rates: list[Number] = []
     times: list[Number] = []
     total: Number = 0

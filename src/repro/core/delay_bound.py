@@ -39,7 +39,6 @@ from typing import Optional, Sequence, Tuple
 
 from ..exceptions import BitStreamError
 from ..obs import metrics as _om
-from . import kernels as _kernels
 from .bitstream import BitStream, Number
 
 __all__ = [
@@ -173,44 +172,24 @@ def delay_at(stream: BitStream, higher: Optional[BitStream], t: Number) -> Numbe
     return departure_time(stream, service, t) - t
 
 
-#: ``(generation, {(op, path): Counter})`` -- the kernel-path counters,
+#: ``(generation, {op: Counter})`` -- the bound-evaluation counters,
 #: bound lazily and re-bound when the global registry changes.
-_path_counters = (-1, {})
+_evaluation_counters = (-1, {})
 
 
-def _note_path(op: str, fast: bool) -> None:
-    """Count one bound evaluation on the numpy or scalar path."""
-    global _path_counters
-    generation, counters = _path_counters
+def _note_evaluation(op: str) -> None:
+    """Count one delay/backlog bound evaluation."""
+    global _evaluation_counters
+    generation, counters = _evaluation_counters
     if generation != _om._generation:
         counters = {}
-        _path_counters = (_om._generation, counters)
-    key = (op, "numpy" if fast else "scalar")
-    counter = counters.get(key)
+        _evaluation_counters = (_om._generation, counters)
+    counter = counters.get(op)
     if counter is None:
         counter = _om.get_registry().counter(
-            "kernel_path_total", op=op, path=key[1])
-        counters[key] = counter
+            "bound_evaluations_total", op=op)
+        counters[op] = counter
     counter.inc()
-
-
-def _fast_kernels(stream: BitStream, higher: Optional[BitStream]):
-    """``(stream_kernel, higher_kernel)`` when the float path applies.
-
-    The fast path engages when the arrival stream has a NumPy kernel
-    and the interference either is absent/zero or has one too; exact
-    (Fraction) inputs on either side keep the scalar algorithms.
-    Returns ``None`` when the exact path must run.
-    """
-    stream_kernel = stream.kernel
-    if stream_kernel is None:
-        return None
-    if higher is None or higher.is_zero:
-        return stream_kernel, None
-    higher_kernel = higher.kernel
-    if higher_kernel is None:
-        return None
-    return stream_kernel, higher_kernel
 
 
 def delay_bound(stream: BitStream, higher: Optional[BitStream] = None,
@@ -245,31 +224,56 @@ def delay_bound(stream: BitStream, higher: Optional[BitStream] = None,
         return 0
     if not is_stable(stream, higher):
         return math.inf
-    fast = _fast_kernels(stream, higher)
     if _om._registry.enabled:
-        _note_path("delay_bound", fast is not None)
-    if fast is not None:
-        return _kernels.delay_bound_fast(*fast)
+        _note_evaluation("delay_bound")
     if service is None:
         service = ServiceCurve(higher)
 
-    candidates: set[Number] = set(stream.times)
-    for _, served in service.breakpoints():
+    # A is non-decreasing and so is C, so the service levels, the sorted
+    # candidate instants and their arrival counts all grow together:
+    # forward cursors replace the per-candidate scans of
+    # ``time_of_bits``, ``bits`` and ``inverse`` with the same
+    # running-total arithmetic, keeping the pass linear after the sort.
+    times, rates = stream.times, stream.rates
+    last = len(times) - 1
+    served_times, served_rates = service.higher.times, service.higher.rates
+    served_values = service._values
+    served_last = len(served_times) - 1
+
+    candidates: set[Number] = set(times)
+    index, total = 0, 0
+    for served in served_values:
         # g(t) crosses this service breakpoint when A(t) == C(t1_j);
         # the earliest such arrival instant is a vertex of D(t).
-        preimage = stream.time_of_bits(served)
-        if preimage != math.inf:
-            candidates.add(preimage)
+        if served == 0:
+            continue  # A(0) == 0: instant zero is already a candidate
+        while index < last:
+            chunk = rates[index] * (times[index + 1] - times[index])
+            if total + chunk >= served:
+                break
+            total += chunk
+            index += 1
+        if rates[index] != 0:
+            candidates.add(times[index] + (served - total) / rates[index])
 
     best: Number = 0
+    index, total = 0, 0
+    segment = 0
     for t in sorted(candidates):
-        arrived = stream.bits(t)
-        leave = service.inverse(arrived)
-        if leave == math.inf:
+        while index < last and times[index + 1] < t:
+            total += rates[index] * (times[index + 1] - times[index])
+            index += 1
+        arrived = total + rates[index] * (t - times[index])
+        while (segment < served_last
+               and served_values[segment + 1] <= arrived):
+            segment += 1
+        slope = 1 - served_rates[segment]
+        if slope == 0:
             # Service saturates before clearing these arrivals even
             # though long-run rates balance: unbounded delay.
             return math.inf
-        delay = leave - t
+        delay = (served_times[segment]
+                 + (arrived - served_values[segment]) / slope - t)
         if delay > best:
             best = delay
     return best
@@ -319,11 +323,8 @@ def backlog_bound_with_higher(stream: BitStream,
         return 0
     if not is_stable(stream, higher):
         return math.inf
-    fast = _fast_kernels(stream, higher)
     if _om._registry.enabled:
-        _note_path("backlog_bound", fast is not None)
-    if fast is not None:
-        return _kernels.backlog_bound_fast(*fast)
+        _note_evaluation("backlog_bound")
     if service is None:
         service = ServiceCurve(higher)
     points = sorted(set(stream.times) | set(service.higher.times))

@@ -30,10 +30,6 @@ from typing import List
 
 from ..exceptions import TrafficModelError
 from .bitstream import BitStream, Number
-from .kernels import np as _np
-
-#: Below this cell count the scalar loop beats NumPy array overhead.
-_VECTOR_MIN_CELLS = 16
 
 __all__ = [
     "VBRParameters",
@@ -164,19 +160,6 @@ def worst_case_cell_times(params: VBRParameters, count: int) -> List[float]:
         raise ValueError(f"count must be non-negative, got {count}")
     pcr_gap = 1 / params.pcr
     scr_gap = 1 / params.scr
-    if (_np is not None and count >= _VECTOR_MIN_CELLS
-            and type(params.mbs) is int
-            and isinstance(pcr_gap, float) and isinstance(scr_gap, float)):
-        # NumPy fast path: same expressions evaluated per element in
-        # float64, so the schedule is bit-identical to the scalar loop.
-        index = _np.arange(count, dtype=_np.float64)
-        burst_end = (params.mbs - 1) * pcr_gap
-        vectorized = _np.where(
-            index < params.mbs,
-            index * pcr_gap,
-            burst_end + (index - params.mbs + 1) * scr_gap,
-        )
-        return vectorized.tolist()
     times: List[float] = []
     for index in range(count):
         if index < params.mbs:

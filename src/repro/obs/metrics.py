@@ -8,9 +8,9 @@ shared :data:`NULL_REGISTRY`, whose instruments are no-ops and whose
 attribute check.
 
 Hot paths that cannot afford a labelled lookup per call (the
-:class:`~repro.core.switch_cac.SwitchCAC` cache getters, the kernel
-path counter) bind their instrument handles once and re-bind only when
-:data:`_generation` changes -- every :func:`set_registry` bumps it, so a
+:class:`~repro.core.switch_cac.SwitchCAC` cache getters, the bound
+evaluation counter) bind their instrument handles once and re-bind only
+when :data:`_generation` changes -- every :func:`set_registry` bumps it, so a
 swapped registry invalidates all cached handles without any back
 references.
 
@@ -87,9 +87,9 @@ METRIC_HELP: Dict[str, str] = {
         "Recoveries whose caches passed verify_consistency().",
     "cac_recovery_replayed_entries":
         "Journal entries replayed by the most recent recover().",
-    "kernel_path_total":
-        "Delay/backlog bound evaluations by execution path "
-        "(numpy fast path vs exact scalar).",
+    "bound_evaluations_total":
+        "Delay/backlog bound evaluations (Algorithm 4.1 and the "
+        "backlog scan) by op.",
     "network_setups_total":
         "Route-level setup walks by outcome "
         "(accepted/rejected/timeout/unsatisfiable).",

@@ -120,22 +120,6 @@ def envelope_cell_times(stream: BitStream, count: int) -> List[float]:
     import math as _math
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    kernel = stream.kernel
-    if kernel is not None and count >= 16:
-        # Vectorized precomputation on the NumPy path: one searchsorted
-        # over all cell indices instead of one bisection per cell.  The
-        # per-element arithmetic matches the scalar ``time_of_bits``
-        # exactly, so the schedule is bit-identical.
-        import numpy as _nmp
-        crossings = kernel.time_of_bits_array(
-            _nmp.arange(1.0, count + 1.0))
-        infinite = _nmp.isinf(crossings)
-        if infinite.any():
-            index = int(_nmp.argmax(infinite))
-            raise ValueError(
-                f"envelope delivers only {index} cells, {count} requested"
-            )
-        return _nmp.maximum(0.0, crossings - 1.0).tolist()
     times: List[float] = []
     for index in range(count):
         crossing = stream.time_of_bits(index + 1)

@@ -49,6 +49,15 @@ class TestConstruction:
     def test_tiny_negative_rate_clamped(self):
         s = BitStream([1.0, -1e-12], [0, 1])
         assert s.rates[-1] == 0
+        # The clamp yields a positive zero of the same type, so repr and
+        # JSON never print ``-0.0``.
+        s = BitStream([0.5, -1e-12], [0.0, 1.0])
+        assert s.rates == (0.5, 0.0)
+        assert type(s.rates[-1]) is float
+        assert math.copysign(1.0, s.rates[-1]) == 1.0
+        assert "-0.0" not in repr(s)
+        exact = BitStream([F(1, 2), F(-1, 10**12)], [0, 1])
+        assert exact.rates[-1] == 0 and type(exact.rates[-1]) is F
 
     def test_adjacent_equal_rates_merge(self):
         s = BitStream([1.0, 1.0, 0.5], [0, 1, 2])

@@ -6,8 +6,7 @@ bounds before falling back to Algorithm 4.1.  These tests pin the
 contract from ``docs/performance.md``: decision-for-decision identity
 with the exact path -- same admits, same refusals, same journals, same
 committed state -- over random transactional interleavings, seeded
-fault schedules, churn workloads, and the exact-Fraction (no-NumPy)
-arithmetic path.
+fault schedules, churn workloads, and exact-Fraction arithmetic.
 """
 
 import os
@@ -207,10 +206,7 @@ def test_fault_schedules_are_report_identical(seed, batched):
 
 
 def test_fraction_streams_stay_on_the_exact_arithmetic_path():
-    """Fraction traffic has no NumPy kernel; the screen still agrees."""
-    stream = VBRParameters(pcr=F(1, 4), scr=F(1, 12),
-                           mbs=3).worst_case_stream()
-    assert stream.kernel is None
+    """Exact Fraction traffic: the screen still agrees."""
     fast, fast_outcomes, _ = _run_twin(
         [("admit", f"vc{i}", f"in{i % 3}", i % 2,
           (VBRParameters(pcr=F(1, 4), scr=F(1, 12), mbs=3), 8 * i))

@@ -152,7 +152,7 @@ class TestCatalogue:
 
     def test_core_metric_families_are_catalogued(self):
         for name in ("cac_checks_total", "cac_cache_hits_total",
-                     "kernel_path_total", "network_setups_total",
+                     "bound_evaluations_total", "network_setups_total",
                      "signaling_hop_rtt", "journal_ops_total",
                      "sim_cells_delivered_total"):
             assert name in METRIC_HELP

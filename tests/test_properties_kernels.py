@@ -1,11 +1,10 @@
-"""Property tests: the NumPy float fast path agrees with the exact path.
+"""Property tests: float stream arithmetic agrees with exact arithmetic.
 
 Every strategy generates exact :class:`fractions.Fraction` streams, runs
-the algorithm on them (which always takes the scalar exact path -- a
-kernel is never built for Fraction inputs), then re-runs the algorithm
-on the float twins produced by :meth:`BitStream.as_floats` (which take
-the :mod:`repro.core.kernels` fast path whenever NumPy is available)
-and asserts agreement to within 1e-9.
+the algorithm on them, then re-runs the same algorithm on the float
+twins produced by :meth:`BitStream.as_floats` and asserts agreement to
+within 1e-9.  (The module name predates the removal of the NumPy kernel
+layer; the float path it once checked is now the one implementation.)
 
 The generated fractions have small denominators, so exact values near
 decision boundaries (stability ``rate <= 1``, zero service slope) are
@@ -18,12 +17,16 @@ results must match exactly.
 import math
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.bitstream import BitStream, ZERO_STREAM, aggregate
-from repro.core.delay_bound import backlog_bound_with_higher, delay_bound
-from repro.core.kernels import kernels_enabled
+from repro.core.delay_bound import (
+    ServiceCurve,
+    backlog_bound_with_higher,
+    delay_at,
+    delay_bound,
+    is_stable,
+)
 
 TOLERANCE = 1e-9
 
@@ -59,28 +62,15 @@ def close(a, b, tolerance=TOLERANCE):
 
 
 # ----------------------------------------------------------------------
-# Fast-path engagement (gating policy)
+# Number types
 # ----------------------------------------------------------------------
 
-@given(monotone_streams())
-def test_fraction_streams_never_get_a_kernel(s):
-    assert s.kernel is None
-
-
-@given(monotone_streams())
-def test_float_streams_get_a_kernel_when_numpy_present(s):
-    twin = s.as_floats()
-    if kernels_enabled():
-        assert twin.kernel is not None
-    else:  # pragma: no cover - exercised only without numpy
-        assert twin.kernel is None
-
-
 def test_pure_int_streams_stay_exact():
-    # Integer streams (the zero stream, a saturated link) keep the
-    # exact path so their results keep integer types.
-    assert ZERO_STREAM.kernel is None
-    assert BitStream.constant(1).kernel is None
+    # Integer streams (the zero stream, a saturated link) keep integer
+    # arithmetic, so their results keep integer types.
+    assert type(ZERO_STREAM.bits(7)) is int
+    assert type(BitStream.constant(1).bits(7)) is int
+    assert type(BitStream([1, 0], [0, 3]).backlog_bound()) is int
 
 
 # ----------------------------------------------------------------------
@@ -165,32 +155,23 @@ def test_backlog_bound_matches_exact(arrivals, interference):
     assert close(fast, exact)
 
 
-# ----------------------------------------------------------------------
-# Kernel vs scalar on identical float inputs
-# ----------------------------------------------------------------------
-
-def _scalar_only(stream):
-    """The same float stream with its kernel disabled (exact path)."""
-    copy = BitStream._from_canonical(stream.rates, stream.times, False)
-    assert copy.kernel is None
-    return copy
-
-
-@pytest.mark.skipif(not kernels_enabled(), reason="NumPy not available")
-@given(st.lists(monotone_streams(), min_size=2, max_size=6))
-def test_kernel_aggregate_matches_scalar_floats(streams):
-    twins = [s.as_floats() for s in streams]
-    fast = aggregate(twins)
-    slow = aggregate([_scalar_only(s) for s in twins])
-    assert fast.kernel is not None
-    assert fast.approx_equal(slow, TOLERANCE)
-
-
-@pytest.mark.skipif(not kernels_enabled(), reason="NumPy not available")
-@given(monotone_streams(max_head_rate=2), monotone_streams(max_head_rate=2))
-def test_kernel_delay_bound_matches_scalar_floats(arrivals, interference):
+@given(st.lists(monotone_streams(), min_size=1, max_size=3),
+       monotone_streams())
+def test_float_delay_bound_is_the_max_over_candidate_instants(
+        components, interference):
+    # Algorithm 4.1's single cursor pass must reproduce, bit for bit,
+    # the maximum of the pointwise delay D(t) over its candidate set:
+    # the arrival breakpoints and the pre-images under A of the
+    # service breakpoints.
+    stream = aggregate([s.as_floats() for s in components])
     higher = interference.filtered().as_floats()
-    twin = arrivals.as_floats()
-    fast = delay_bound(twin, higher)
-    slow = delay_bound(_scalar_only(twin), _scalar_only(higher))
-    assert close(fast, slow)
+    if not is_stable(stream, higher):
+        assert delay_bound(stream, higher) == math.inf
+        return
+    candidates = set(stream.times)
+    for _, served in ServiceCurve(higher).breakpoints():
+        preimage = stream.time_of_bits(served)
+        if preimage != math.inf:
+            candidates.add(preimage)
+    expected = max(delay_at(stream, higher, t) for t in candidates)
+    assert delay_bound(stream, higher) == expected

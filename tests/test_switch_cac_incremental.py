@@ -162,7 +162,7 @@ def test_release_to_empty_clears_state():
 
 
 def test_float_streams_stay_consistent_within_tolerance():
-    """The same invariants hold on the NumPy fast path (approximately)."""
+    """The same invariants hold on float streams (approximately)."""
     switch = make_switch()
     floats = [stream.as_floats() for stream in STREAMS]
     for index, stream in enumerate(floats):
