@@ -9,8 +9,8 @@ Three records go into ``BENCH_core_ops.json`` under ``"fast_path"``:
   byte-identical: the fast path may only move the wall clock) plus the
   count of exact ``delay_bound`` evaluations each run performed;
 * **plane_churn** -- events/sec of the plane-mode churn scenario with
-  the fast path and timer wheel on, against the exact-path baseline
-  recorded before this optimization landed (acceptance: >= 1.5x).
+  the fast path on, against the exact-path baseline recorded before
+  this optimization landed (acceptance: >= 1.5x).
 """
 
 import time
@@ -31,8 +31,8 @@ SCENARIO = ChurnScenario(
 PLANE_SCENARIO = replace(SCENARIO, setup_latency=2.0, reservation_ttl=40.0)
 
 #: ``admission_plane.plane_churn.events_per_sec`` as recorded by the
-#: release before the fast path / timer wheel landed, on the reference
-#: container -- the denominator of the speedup acceptance target.
+#: release before the fast path landed, on the reference host -- the
+#: denominator of the speedup acceptance target.
 BASELINE_PLANE_EVENTS_PER_SEC = 744.1
 
 

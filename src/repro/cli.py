@@ -203,10 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "the event-driven admission plane")
     profile.add_argument("--reservation-ttl", type=float, default=40.0,
                          help="phase-1 reservation hold time (cell times)")
-    profile.add_argument("--fast-path", choices=["on", "off", "auto"],
-                         default="auto",
-                         help="force the screened (on) or exact (off) "
-                              "admission path; auto defers to CAC_FAST_PATH")
+    profile.add_argument("--fast-path", choices=["on", "off"], default="on",
+                         help="screened (on) or exact (off) admission path")
     profile.add_argument("--top", type=int, default=15,
                          help="rows of the cumulative-time table to keep")
     profile.add_argument("--json", action="store_true",
@@ -467,12 +465,12 @@ def _run_profile(args) -> None:
 
     from .workload.churn import ChurnScenario, run_scenario
 
-    fast_path = {"on": True, "off": False, "auto": None}[args.fast_path]
     scenario = ChurnScenario(
         topology=args.topology, nodes=args.nodes, bound=48.0, rate=0.15,
         offered_load=args.load, events=args.events, seed=args.seed, k=2,
         setup_latency=args.setup_latency,
-        reservation_ttl=args.reservation_ttl, fast_path=fast_path,
+        reservation_ttl=args.reservation_ttl,
+        fast_path=args.fast_path == "on",
     )
     run_scenario(scenario)          # warm-up run stays outside the profile
     profiler = cProfile.Profile()

@@ -7,7 +7,7 @@ Re-exports the pieces a typical user composes:
 * the worst-case analysis (:func:`delay_bound`);
 * per-switch and network-level admission control
   (:class:`SwitchCAC`, :class:`NetworkCAC`) with the batched pipeline
-  (:meth:`NetworkCAC.setup_many`) and its layered state backends
+  (:meth:`NetworkCAC.setup_many`) and its layered state
   (:class:`PortState`, :class:`AdmissionStore` -- see
   ``docs/architecture.md``);
 * the event-driven admission plane (:class:`AdmissionPlane`) running
@@ -36,11 +36,7 @@ from .delay_bound import (
 from .plane import AdmissionPlane, SetupOutcome
 from .port_state import PortState
 from .server import AdmissionDecision, AuditEntry, CacServer, PlanReport
-from .store import (
-    AdmissionStore,
-    InMemoryAdmissionStore,
-    ShardedAdmissionStore,
-)
+from .store import AdmissionStore
 from .switch_cac import (
     BatchCheckResult,
     CheckResult,
@@ -89,8 +85,6 @@ __all__ = [
     "PriorityBoundViolation",
     "PortState",
     "AdmissionStore",
-    "InMemoryAdmissionStore",
-    "ShardedAdmissionStore",
     "NetworkCAC",
     "BatchSetupResult",
     "AdmissionPlane",

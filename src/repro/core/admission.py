@@ -85,7 +85,6 @@ from ..robustness.migration import (
 from ..robustness.retry import ManualClock, RetryPolicy
 from .accumulation import CdvPolicy, make_policy
 from .bitstream import BitStream, Number
-from .store import AdmissionStore
 from .switch_cac import BatchCheckResult, Leg, SwitchCAC
 
 __all__ = ["NetworkCAC", "BatchSetupResult"]
@@ -149,18 +148,12 @@ class NetworkCAC:
         Nominal per-direction signaling transit time per hop, forwarded
         to every channel; zero keeps the paper's instantaneous-exchange
         model.
-    store_factory:
-        Optional factory mapping a switch name to the
-        :class:`~repro.core.store.AdmissionStore` backend its
-        :class:`SwitchCAC` should use (e.g.
-        ``lambda name: ShardedAdmissionStore(8)``); ``None`` gives
-        every switch the default in-memory store.
     fast_path:
         Forwarded to every switch: whether admission checks consult the
         incremental headroom-ledger screen before falling through to
         the exact delay-bound evaluation (decision-identical either
-        way; see ``docs/performance.md``).  ``None`` defers to the
-        ``CAC_FAST_PATH`` environment switch.
+        way; see ``docs/performance.md``).  ``False`` is the exact
+        reference path.
     breaker_threshold / breaker_reset_timeout:
         Circuit-breaker tuning: consecutive delivery failures that trip
         a hop's breaker open, and how long (simulated time) the breaker
@@ -199,13 +192,11 @@ class NetworkCAC:
                  hop_timeout: float = 8.0,
                  clock: Optional[ManualClock] = None,
                  rng: Optional[random.Random] = None,
-                 store_factory: Optional[
-                     Callable[[str], AdmissionStore]] = None,
                  breaker_threshold: int = 3,
                  breaker_reset_timeout: float = 64.0,
                  suspicion_threshold: int = 3,
                  hop_latency: float = 0.0,
-                 fast_path: Optional[bool] = None):
+                 fast_path: bool = True):
         self.network = network
         self.cdv_policy = make_policy(cdv_policy)
         self.filter_per_input = filter_per_input
@@ -236,7 +227,6 @@ class NetworkCAC:
         for switch in network.switches():
             cac = SwitchCAC(
                 switch.name, filter_per_input=filter_per_input,
-                store=store_factory(switch.name) if store_factory else None,
                 fast_path=fast_path,
             )
             for link in network.out_links(switch.name):

@@ -83,12 +83,10 @@ class CacServer:
 
     def __init__(self, network: Network,
                  cdv_policy: Union[str, CdvPolicy] = "hard",
-                 filter_per_input: bool = True,
-                 store_factory=None):
+                 filter_per_input: bool = True):
         self.network = network
         self._cac = NetworkCAC(network, cdv_policy=cdv_policy,
-                               filter_per_input=filter_per_input,
-                               store_factory=store_factory)
+                               filter_per_input=filter_per_input)
         self._requests: Dict[str, ConnectionRequest] = {}
         self._audit: List[AuditEntry] = []
         self._sequence = 0

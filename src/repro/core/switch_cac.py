@@ -36,11 +36,9 @@ recovery, metrics.  The *state* lives one layer down: every
 :class:`~repro.core.port_state.PortState` holding its aggregates,
 incremental-delta caches and memoized
 :class:`~repro.core.delay_bound.ServiceCurve`, and all ports plus the
-committed/pending leg maps live behind a pluggable
-:class:`~repro.core.store.AdmissionStore` (in-memory by default,
-sharded by output link as the concurrency stepping stone).  Checks,
-journal replay and :meth:`verify_consistency` all go through the same
-store interface, so the backend cannot change admission semantics.
+committed/pending leg maps live in one
+:class:`~repro.core.store.AdmissionStore`.  Checks, journal replay and
+:meth:`verify_consistency` all go through that store.
 
 Transactional setup (see ``docs/robustness.md``): the two-phase network
 walk first *reserves* a leg (:meth:`reserve` -- resources held, not yet
@@ -68,7 +66,6 @@ applies a pre-approved leg without re-running the per-leg check.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -81,7 +78,7 @@ from .bitstream import BitStream, Number, ZERO_STREAM, aggregate
 from .delay_bound import (backlog_bound_with_higher, delay_bound,
                           latency_rate_bound)
 from .port_state import PortState
-from .store import AdmissionStore, InMemoryAdmissionStore
+from .store import AdmissionStore
 
 __all__ = ["SwitchCAC", "Leg", "CheckResult", "BatchCheckResult",
            "PriorityBoundViolation"]
@@ -102,12 +99,6 @@ _SCREEN_OUTCOMES = ("accept", "reject", "exact")
 #: only push a check toward the exact fallthrough -- never flip a
 #: decision.
 _SCREEN_GUARD = 1e-9
-
-
-def _fast_path_default() -> bool:
-    """The ``CAC_FAST_PATH`` environment switch (on unless disabled)."""
-    flag = os.environ.get("CAC_FAST_PATH", "on").strip().lower()
-    return flag not in ("0", "off", "false", "no")
 
 
 class _SwitchMetrics:
@@ -268,20 +259,14 @@ class SwitchCAC:
         at the output port, which models the smoothing a real link
         performs and tightens the bounds.  Setting it False reproduces
         the coarser "no link filtering" analysis for the ablation bench.
-    store:
-        The :class:`~repro.core.store.AdmissionStore` backend holding
-        every port's :class:`~repro.core.port_state.PortState` and the
-        two-phase leg maps; defaults to a fresh
-        :class:`~repro.core.store.InMemoryAdmissionStore`.
     fast_path:
         Whether :meth:`check`/:meth:`check_batch` consult the headroom
         ledger screen before falling through to the exact
         :func:`~repro.core.delay_bound.delay_bound` evaluation.  The
         screen is decision-identical to the exact path (both of its
         bounds are provably conservative; see ``docs/performance.md``).
-        ``None`` (the default) follows the ``CAC_FAST_PATH``
-        environment switch, which is on unless set to ``off``/``0``/
-        ``false``/``no``.
+        ``False`` is the exact reference path the identity harnesses
+        compare against.
 
     Examples
     --------
@@ -296,16 +281,13 @@ class SwitchCAC:
     """
 
     def __init__(self, name: str, filter_per_input: bool = True,
-                 store: Optional[AdmissionStore] = None,
-                 fast_path: Optional[bool] = None):
+                 fast_path: bool = True):
         self.name = name
         self.filter_per_input = filter_per_input
-        #: screened admission fast path (CAC_FAST_PATH env default).
-        self.fast_path = (_fast_path_default() if fast_path is None
-                          else bool(fast_path))
+        #: screened admission fast path (False: exact reference path).
+        self.fast_path = fast_path
         #: all CAC state -- ports, caches, committed/pending legs.
-        self._store = store if store is not None else InMemoryAdmissionStore()
-        self._store.attach(filter_per_input, self._count_cache)
+        self._store = AdmissionStore(filter_per_input, self._count_cache)
         #: stable storage: survives crash(), drives recover().
         self._journal = AdmissionJournal()
         self._crashed = False
@@ -343,7 +325,7 @@ class SwitchCAC:
 
     @property
     def store(self) -> AdmissionStore:
-        """The pluggable state backend."""
+        """The ports, legs and in-link ledger of this switch."""
         return self._store
 
     def configure_link(self, out_link: str,
@@ -353,6 +335,12 @@ class SwitchCAC:
         ``bounds`` maps each real-time priority level served on the link
         to the fixed queueing delay bound (in cell times) the switch
         guarantees -- in RTnet, the FIFO queue size in cells.
+
+        A reconfiguration may change bounds and add priorities, but it
+        cannot drop a priority that still carries committed or pending
+        legs (journaled ones count too, so a crashed switch can still
+        recover): that raises :class:`AdmissionError` and leaves the
+        switch untouched.
         """
         if not bounds:
             raise ValueError("an output link needs at least one priority")
@@ -362,6 +350,19 @@ class SwitchCAC:
                     f"advertised bound must be positive, got {bound} for "
                     f"priority {priority}"
                 )
+        if self._store.has_link(out_link):
+            dropped = set(self._store.priorities(out_link)).difference(bounds)
+            if dropped:
+                for legs in self._journal.replay():
+                    for leg in legs.values():
+                        if leg.out_link == out_link and \
+                                leg.priority in dropped:
+                            raise AdmissionError(
+                                f"cannot drop priority {leg.priority} from "
+                                f"link {out_link!r} at switch {self.name!r}: "
+                                f"connection {leg.connection_id!r} holds a "
+                                f"leg there"
+                            )
         self._store.configure_link(out_link, bounds)
 
     def advertised_bound(self, out_link: str, priority: int) -> Number:
@@ -1231,8 +1232,8 @@ class SwitchCAC:
         Checks the ``Sia`` ground truth *and* each populated derived
         cache (higher-priority aggregates, output sums) against values
         recomputed from the per-leg streams alone.  Every port is read
-        through the :class:`AdmissionStore`, so a backend that corrupts
-        or loses state cannot pass.
+        through the :class:`AdmissionStore`, so a store that corrupts or
+        loses state cannot pass.
         """
         fresh = self.recompute_aggregates()
         covered = {

@@ -208,7 +208,6 @@ def switch_state_to_dict(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
     The legs fully determine every aggregate, so this round trip is a
     complete store-level persistence story: restore with
     :func:`switch_state_from_dict` into
-    :meth:`AdmissionStore.restore` (store only) or
     :meth:`SwitchCAC.restore_state` (journaled, crash-recoverable).
     """
     return {

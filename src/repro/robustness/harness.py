@@ -235,7 +235,7 @@ def run_schedule(seed: int,
                  max_faults: int = 4,
                  batched: bool = False,
                  link_failures: int = 0,
-                 fast_path: Optional[bool] = None) -> ScheduleReport:
+                 fast_path: bool = True) -> ScheduleReport:
     """Run one seeded fault schedule and check the acceptance properties.
 
     ``network_factory`` must build a fresh, identical topology on every
@@ -262,7 +262,7 @@ def run_schedule(seed: int,
     whole batch (the batch is one atomic pipeline).
 
     ``fast_path`` is forwarded to both the faulted and the clean-replay
-    :class:`NetworkCAC` (None defers to ``CAC_FAST_PATH``); the
+    :class:`NetworkCAC` (``False`` is the exact path); the
     screened and exact admission paths produce the same report, which
     the property suite asserts by running schedules both ways.
     """
@@ -382,7 +382,7 @@ def run_schedules(seeds: Iterable[int],
                   max_faults: int = 4,
                   batched: bool = False,
                   link_failures: int = 0,
-                  fast_path: Optional[bool] = None,
+                  fast_path: bool = True,
                   jobs: int = 1,
                   executor: Optional[ParallelExecutor] = None,
                   ) -> List[ScheduleReport]:

@@ -603,10 +603,10 @@ class ChurnScenario:
     #: Phase-1 reservation hold time before switch-side expiry; only
     #: meaningful with the admission plane active.
     reservation_ttl: Optional[float] = None
-    #: Admission fast path: True/False forces the screened/exact path,
-    #: None defers to ``CAC_FAST_PATH``.  Decisions (and ledger digests)
-    #: are identical either way; only the wall clock moves.
-    fast_path: Optional[bool] = None
+    #: Admission fast path: True screens, False runs the exact path.
+    #: Decisions (and ledger digests) are identical either way; only
+    #: the wall clock moves.
+    fast_path: bool = True
 
     def arrival_rate(self) -> float:
         """The Poisson intensity hitting the offered-load target."""

@@ -271,7 +271,7 @@ class TestProfileCommand:
         import json
         doc = json.loads(run(capsys, *self.ARGS, "--json"))
         assert doc["events"] == 60
-        assert doc["fast_path"] == "auto"
+        assert doc["fast_path"] == "on"
         assert doc["events_per_sec"] > 0
         assert 0 < len(doc["top"]) <= 8
         assert {"function", "file", "line", "ncalls", "tottime_s",

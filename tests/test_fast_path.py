@@ -123,16 +123,6 @@ def test_screen_accept_bound_is_conservative():
     assert screened.computed_bounds[0] >= reference.computed_bounds[0]
 
 
-def test_env_switch_controls_default(monkeypatch):
-    monkeypatch.setenv("CAC_FAST_PATH", "off")
-    assert not SwitchCAC("a").fast_path
-    assert SwitchCAC("b", fast_path=True).fast_path  # ctor wins
-    monkeypatch.setenv("CAC_FAST_PATH", "on")
-    assert SwitchCAC("c").fast_path
-    monkeypatch.delenv("CAC_FAST_PATH")
-    assert SwitchCAC("d").fast_path  # on by default
-
-
 CHURN_SCENARIOS = {
     "instant": ChurnScenario(topology="dual-ring", nodes=4, bound=48.0,
                              rate=0.15, offered_load=3.0, events=250,

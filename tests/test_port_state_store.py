@@ -1,30 +1,21 @@
-"""The layered state backends: PortState and the AdmissionStore family.
+"""The layered state: PortState and the AdmissionStore behind a switch.
 
 The layering contract (``docs/architecture.md``): a pure
 :class:`PortState` per (out_link, priority) owns the aggregates and
-incremental caches; every backend of the pluggable
-:class:`AdmissionStore` interface must be observably identical to the
-in-memory reference -- same admission decisions, same iteration order,
-same snapshots -- because ``SwitchCAC`` routes *all* state through it.
+incremental caches; one :class:`AdmissionStore` per switch holds every
+port, the committed/pending legs and the in-link ledger, and
+``SwitchCAC`` routes *all* state through it.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from repro.core import (
-    InMemoryAdmissionStore,
-    NetworkCAC,
-    ShardedAdmissionStore,
-    SwitchCAC,
-)
+from repro.core import AdmissionStore, SwitchCAC
 from repro.core.bitstream import aggregate
 from repro.core.port_state import PortState
 from repro.core.traffic import cbr
 from repro.exceptions import AdmissionError
-from repro.network.connection import ConnectionRequest
-from repro.network.routing import shortest_path
-from repro.network.topology import line_network
 
 
 def stream(rate):
@@ -120,21 +111,13 @@ class TestPortState:
 
 
 # ----------------------------------------------------------------------
-# AdmissionStore backends: parity with the in-memory reference
+# AdmissionStore: the state behind one switch
 # ----------------------------------------------------------------------
-
-
-STORE_FACTORIES = [
-    ("in-memory", InMemoryAdmissionStore),
-    ("sharded-1", lambda: ShardedAdmissionStore(1)),
-    ("sharded-3", lambda: ShardedAdmissionStore(3)),
-    ("sharded-8", lambda: ShardedAdmissionStore(8)),
-]
 
 
 def drive(switch):
     """A fixed admit/reserve/commit/rollback workout on one switch."""
-    for index, link in enumerate(["out-b", "out-a", "out-c"]):
+    for link in ["out-b", "out-a", "out-c"]:
         switch.configure_link(link, {0: 32, 2: 96})
     switch.admit("vc0", "in-a", "out-a", 0, stream(F(1, 10)))
     switch.admit("vc1", "in-b", "out-b", 2, stream(F(1, 12)))
@@ -147,49 +130,30 @@ def drive(switch):
     return switch
 
 
-@pytest.mark.parametrize("label,factory", STORE_FACTORIES,
-                         ids=[label for label, _ in STORE_FACTORIES])
-def test_backends_are_observably_identical(label, factory):
-    reference = drive(SwitchCAC("sw"))
-    candidate = drive(SwitchCAC("sw", store=factory()))
-    # same committed set, same insertion order
-    assert list(candidate.legs) == list(reference.legs)
-    assert candidate.out_links() == reference.out_links()
-    for link in reference.out_links():
-        assert candidate.priorities(link) == reference.priorities(link)
-        for priority in reference.priorities(link):
-            assert streams_equal(
-                candidate.soa(link, priority), reference.soa(link, priority))
-    assert candidate.verify_consistency()
-    # identical journals drive identical recoveries
-    assert ([(e.op, e.connection_id) for e in candidate.journal]
-            == [(e.op, e.connection_id) for e in reference.journal])
-    candidate.crash()
-    with pytest.raises(AdmissionError):
-        candidate.admit("vc9", "in-a", "out-a", 0, stream(F(1, 20)))
-    candidate.recover()
-    assert list(candidate.legs) == list(reference.legs)
-    for key, value in reference.recompute_aggregates().items():
-        assert streams_equal(candidate.recompute_aggregates()[key], value)
-
-
-@pytest.mark.parametrize("label,factory", STORE_FACTORIES,
-                         ids=[label for label, _ in STORE_FACTORIES])
-def test_snapshot_restore_round_trip(label, factory):
-    source = drive(SwitchCAC("sw", store=factory()))
+def test_snapshot_restore_round_trip():
+    source = drive(SwitchCAC("sw"))
     source.reserve("vc5", "in-a", "out-b", 2, stream(F(1, 20)))
     snapshot = source.snapshot_state()
     assert [leg.connection_id for leg in snapshot["committed"]] == \
         list(source.legs)
     assert [leg.connection_id for leg in snapshot["pending"]] == ["vc5"]
 
-    target = SwitchCAC("sw2", store=factory())
+    target = SwitchCAC("sw2")
     for link in source.out_links():
         target.configure_link(link, {0: 32, 2: 96})
     target.restore_state(snapshot)
     assert list(target.legs) == list(source.legs)
     assert list(target.pending) == ["vc5"]
     assert target.verify_consistency()
+    for link in source.out_links():
+        for priority in source.priorities(link):
+            assert streams_equal(target.soa(link, priority),
+                                 source.soa(link, priority))
+    # ``legs`` is the caller's copy; the store hands out read-only views
+    target.legs.clear()
+    assert list(target.legs) == list(source.legs)
+    with pytest.raises(TypeError):
+        target.store.committed()["vc9"] = None
     # the restore journaled everything: crash recovery still works and
     # discards the restored (uncommitted) reservation
     target.crash()
@@ -217,49 +181,17 @@ def test_out_links_and_priorities_are_sorted():
     ]
 
 
-def test_sharding_is_deterministic_and_by_out_link():
-    store = ShardedAdmissionStore(4)
-    again = ShardedAdmissionStore(4)
-    for link in ["out-a", "out-b", "out-c", "out-d", "out-e"]:
-        assert store.shard_of_link(link) == again.shard_of_link(link)
-        store.configure_link(link, {0: 32})
-    assert store.out_links() == ["out-a", "out-b", "out-c", "out-d",
-                                 "out-e"]
-    # every port of one link lives in exactly one shard
-    populated = [shard for shard in store.shards() if shard.out_links()]
-    assert sum(len(s.out_links()) for s in populated) == 5
-
-
-def test_sharded_store_rejects_bad_shard_count():
-    with pytest.raises(ValueError):
-        ShardedAdmissionStore(0)
-
-
-def test_store_factory_plugs_into_network_cac():
-    network = line_network(3, bounds={0: 32}, terminals_per_switch=1)
-    cac = NetworkCAC(network,
-                     store_factory=lambda name: ShardedAdmissionStore(2))
-    request = ConnectionRequest(
-        "vc0", cbr(F(1, 8)), shortest_path(network, "t0.0", "t2.0"))
-    established = cac.setup(request)
-    assert established.e2e_bound == 3 * 32
-    for switch in cac.switches().values():
-        assert isinstance(switch.store, ShardedAdmissionStore)
-        assert switch.verify_consistency()
-
-
 def test_clear_volatile_keeps_configuration():
-    for _, factory in STORE_FACTORIES:
-        store = factory()
-        store.configure_link("out", {0: 32})
-        store.clear_volatile()
-        assert store.out_links() == ["out"]
-        assert store.priorities("out") == [0]
-        assert not store.committed() and not store.pending()
+    store = AdmissionStore()
+    store.configure_link("out", {0: 32})
+    store.clear_volatile()
+    assert store.out_links() == ["out"]
+    assert store.priorities("out") == [0]
+    assert not store.committed() and not store.pending()
 
 
 def test_unknown_port_raises_admission_error():
-    store = InMemoryAdmissionStore()
+    store = AdmissionStore()
     store.configure_link("out", {0: 32})
     with pytest.raises(AdmissionError):
         store.port("out", 7)

@@ -1,9 +1,134 @@
 """Discrete-event engine unit tests."""
 
+import itertools
+import math
+import random
+
 import pytest
 
 from repro.exceptions import SimulationError
 from repro.sim.engine import Engine
+
+
+def _script(seed):
+    """A deterministic op script: phases of scheduling, cancels, runs.
+
+    Single and bulk schedules, nested zero-delay and later schedules,
+    duplicate instants (the sequence tiebreak) and cancel bursts big
+    enough to trigger lazy-cancel compaction.
+    """
+    rng = random.Random(seed)
+    ops = []
+    clock = 0.0
+    scheduled = 0
+    for _phase in range(rng.randint(3, 6)):
+        for _ in range(rng.randint(4, 20)):
+            roll = rng.random()
+            if roll < 0.45:
+                time = clock + rng.choice(
+                    [0.0, rng.uniform(0, 5), rng.uniform(0, 60),
+                     rng.uniform(0, 200)])
+                nested = tuple(
+                    (rng.choice([0.0, rng.uniform(0, 25)]), f"n{scheduled}.{k}")
+                    for k in range(rng.randint(0, 2)))
+                ops.append(("schedule", time, f"e{scheduled}", nested))
+                scheduled += 1
+            elif roll < 0.60 and scheduled:
+                ops.append(("cancel", rng.randrange(scheduled)))
+            elif roll < 0.65:
+                first = scheduled
+                for _ in range(rng.randint(70, 120)):
+                    ops.append(("schedule", clock + rng.uniform(0, 90),
+                                f"b{scheduled}", ()))
+                    scheduled += 1
+                ops.extend(("cancel", index)
+                           for index in range(first, scheduled)
+                           if rng.random() < 0.9)
+            else:
+                base = clock + rng.uniform(0, 150)
+                times = sorted(base + rng.uniform(0, 40) for _ in range(
+                    rng.randint(1, 6)))
+                if rng.random() < 0.5:
+                    times += times[:1]  # a duplicate instant
+                ops.append(("many", tuple(times), f"m{scheduled}"))
+                scheduled += len(times)
+        clock += rng.uniform(0.5, 45)
+        ops.append(("run", clock))
+    ops.append(("run", None))
+    return ops
+
+
+def _drive(engine, script):
+    """Apply one script; return the (time, tag) log plus peeks."""
+    log = []
+    handles = []
+
+    def callback(tag, nested):
+        def fire():
+            log.append((engine.now, tag))
+            for delay, sub_tag in nested:
+                engine.schedule_in(delay, callback(sub_tag, ()))
+        return fire
+
+    for op in script:
+        if op[0] == "schedule":
+            _, time, tag, nested = op
+            handles.append(engine.schedule(time, callback(tag, nested)))
+        elif op[0] == "cancel":
+            handles[op[1]].cancel()
+        elif op[0] == "many":
+            _, times, prefix = op
+            handles.extend(engine.schedule_many(
+                [(time, callback(f"{prefix}.{k}", ()))
+                 for k, time in enumerate(times)]))
+        else:
+            engine.run(until=math.inf if op[1] is None else op[1])
+            log.append(("peek", engine.peek_next_time(), engine.now))
+    return log
+
+
+def _reference(script):
+    """The same script on a plain list fired in sorted (time, seq) order."""
+    queue = []      # (time, seq, tag, nested) entries not yet fired
+    handles = []
+    cancelled = set()
+    log = []
+    now = 0.0
+    sequence = itertools.count()
+
+    def schedule(time, tag, nested):
+        entry = (time, next(sequence), tag, nested)
+        queue.append(entry)
+        return entry
+
+    def live():
+        return [entry for entry in queue if entry[1] not in cancelled]
+
+    for op in script:
+        if op[0] == "schedule":
+            handles.append(schedule(op[1], op[2], op[3]))
+        elif op[0] == "cancel":
+            cancelled.add(handles[op[1]][1])
+        elif op[0] == "many":
+            handles.extend(schedule(time, f"{op[2]}.{k}", ())
+                           for k, time in enumerate(op[1]))
+        else:
+            until = math.inf if op[1] is None else op[1]
+            while live():
+                entry = min(live(), key=lambda e: (e[0], e[1]))
+                if entry[0] > until:
+                    break
+                queue.remove(entry)
+                now = entry[0]
+                log.append((now, entry[2]))
+                for delay, sub_tag in entry[3]:
+                    schedule(now + delay, sub_tag, ())
+            if until != math.inf and until > now:
+                now = until
+            waiting = live()
+            log.append(("peek", min(e[0] for e in waiting) if waiting
+                        else None, now))
+    return log
 
 
 class TestScheduling:
@@ -23,6 +148,13 @@ class TestScheduling:
             engine.schedule(5.0, lambda tag=tag: fired.append(tag))
         engine.run()
         assert fired == ["a", "b", "c"]
+        # A callback may schedule at ``now``: it fires in the same run,
+        # behind the peers already queued for that instant.
+        engine.schedule(8.0, lambda: (fired.append("d"), engine.schedule_in(
+            0.0, lambda: fired.append("f"))))
+        engine.schedule(8.0, lambda: fired.append("e"))
+        engine.run(until=8.0)
+        assert fired == ["a", "b", "c", "d", "e", "f"]
 
     def test_now_advances(self):
         engine = Engine()
@@ -140,6 +272,13 @@ class TestScheduleMany:
         batched.run()
         loop.run()
         assert fired_batched == fired_loop == [1, 3, 2, 0, 4]
+        # Randomized single/bulk/nested/cancel scripts against a plain
+        # sorted (time, sequence) model of the queue.
+        for seed in range(12):
+            script = _script(seed)
+            engine = Engine()
+            assert _drive(engine, script) == _reference(script)
+            assert engine.pending_events == engine.heap_size == 0
 
     def test_ties_against_prior_schedule_calls(self):
         engine = Engine()
@@ -283,6 +422,34 @@ class TestProcess:
         assert isinstance(handle.error, ValueError)
         assert handle.result is None
         assert survivor == [5.0], "one dead process stalled the engine"
+
+        # An invalid wait fails only the process that yielded it: its
+        # generator is closed, on_done fires, and a sibling completes.
+        for bad, error in ((-1.0, SimulationError),
+                           (float("nan"), SimulationError),
+                           ("soon", ValueError), (None, TypeError)):
+            engine = Engine()
+            finished, closed = [], []
+
+            def bad_wait(bad=bad):
+                try:
+                    yield 1.0
+                    yield bad
+                finally:
+                    closed.append(True)
+
+            def sibling():
+                yield 2.0
+                return "ok"
+
+            broken = engine.process(bad_wait(), on_done=finished.append)
+            healthy = engine.process(sibling(), on_done=finished.append)
+            engine.run()                  # must not raise
+            assert broken.done and isinstance(broken.error, error)
+            assert closed == [True]
+            assert healthy.done and healthy.result == "ok"
+            assert finished == [broken, healthy]
+            assert engine.pending_events == 0
 
     def test_cancel_runs_finally_blocks(self):
         engine = Engine()

@@ -50,6 +50,33 @@ class TestConfiguration:
         switch = make_switch(priorities=(2, 0, 1))
         assert switch.priorities("out") == [0, 1, 2]
 
+    def test_reconfiguration_cannot_drop_a_loaded_priority(self):
+        switch = SwitchCAC("sw")
+        switch.configure_link("out", {0: 32, 1: 64})
+        switch.admit("vc", "in", "out", 1, CBR_QUARTER)
+        switch.reserve("held", "in", "out", 0, CBR_QUARTER)
+        for bounds in ({0: 32}, {1: 64}, {0: 32, 2: 96}):
+            with pytest.raises(AdmissionError, match="cannot drop priority"):
+                switch.configure_link("out", bounds)
+            assert switch.priorities("out") == [0, 1]
+            assert switch.verify_consistency()
+        # A crashed switch checks its journal: recovery must still work.
+        switch.crash()
+        with pytest.raises(AdmissionError, match="cannot drop priority 1"):
+            switch.configure_link("out", {0: 32})
+        switch.recover()
+        # Changing bounds and adding priorities stays allowed.
+        switch.configure_link("out", {0: 48, 1: 64, 2: 96})
+        assert switch.advertised_bound("out", 0) == 48
+        assert switch.verify_consistency()
+        released = switch.release("vc")
+        assert released.priority == 1
+        assert switch.in_link_utilization("in") == 0
+        # An empty priority may go.
+        switch.configure_link("out", {0: 48})
+        assert switch.priorities("out") == [0]
+        assert switch.verify_consistency()
+
 
 class TestSinglePriorityAdmission:
     def test_first_connection_admitted(self):
