@@ -44,8 +44,8 @@ absorb without precision loss.
 
 from __future__ import annotations
 
-import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
@@ -296,9 +296,12 @@ class BitStream:
     def scaled(self, factor: Number) -> "BitStream":
         """The multiplex of ``factor`` identical copies of this stream.
 
-        Equivalent to repeated :meth:`__add__` but O(m).  Useful for the
-        symmetric RTnet workloads where many terminals share one traffic
-        descriptor.
+        Equal to repeated :meth:`__add__` for exact (int/Fraction)
+        rates, in O(m).  For float rates ``factor * rate`` can differ
+        from ``factor`` additions in the last bits, which is why
+        :class:`~repro.rtnet.evaluation.RingAnalysis` aggregates its
+        many identical broadcast envelopes with :func:`aggregate`
+        rather than scaling one.
         """
         if factor < 0:
             raise ValueError(f"factor must be non-negative, got {factor}")
@@ -556,14 +559,6 @@ def _merge(first: BitStream, second: BitStream, combine) -> BitStream:
     return BitStream(rates, times)
 
 
-def _delta_events(stream: BitStream):
-    """``(time, rate_step)`` events of one stream, in time order."""
-    previous: Number = 0
-    for rate, time in zip(stream.rates, stream.times):
-        yield (time, rate - previous)
-        previous = rate
-
-
 def aggregate(streams: Iterable[BitStream]) -> BitStream:
     """Multiplex any number of streams (k-way Algorithm 3.2).
 
@@ -572,10 +567,13 @@ def aggregate(streams: Iterable[BitStream]) -> BitStream:
     connections.
     Returns the zero stream for an empty iterable.
 
-    Each stream contributes rate *deltas* at its own breakpoints; a heap
-    merge visits them in global time order and a running sum yields the
-    aggregate's step function -- O(B log k) in the total breakpoint
-    count B.
+    Each stream contributes one rate *delta* event ``(time, step)`` per
+    breakpoint; one sort of all events -- O(B log B) in the total
+    breakpoint count B -- puts them in ``(time, step)`` order and a
+    running sum yields the aggregate's step function.  Equal events add
+    equal values, so for streams of one number type the summation
+    order, and with it every float bit of the result, depends only on
+    the multiset of input streams, not on their order.
     """
     stream_list = [stream for stream in streams if not stream.is_zero]
     if not stream_list:
@@ -583,10 +581,18 @@ def aggregate(streams: Iterable[BitStream]) -> BitStream:
     if len(stream_list) == 1:
         return stream_list[0]
 
+    events: list[Tuple[Number, Number]] = []
+    for stream in stream_list:
+        levels = stream._rates
+        # Step k is r(k) - r(k-1), with r(-1) = 0.
+        events.extend(zip(stream._times,
+                          map(operator.sub, levels, (0,) + levels[:-1])))
+    events.sort()
+
     rates: list[Number] = []
     times: list[Number] = []
     total: Number = 0
-    for time, delta in heapq.merge(*(map(_delta_events, stream_list))):
+    for time, delta in events:
         total = total + delta
         if times and times[-1] == time:
             rates[-1] = total

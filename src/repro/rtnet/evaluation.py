@@ -115,6 +115,11 @@ class RingAnalysis:
             for priority, bound in self.node_bounds.items()
         }
         self._link_bounds: Dict[Tuple[int, int], Number] = {}
+        #: Delayed broadcast envelopes by (descriptor, priority, upstream
+        #: hops); see ``_delayed_envelope``.  A point has at most
+        #: descriptors x priorities x R of them, while its links read
+        #: one per terminal per link.
+        self._envelopes: Dict[tuple, BitStream] = {}
 
     # ------------------------------------------------------------------
     # Stream construction
@@ -122,9 +127,21 @@ class RingAnalysis:
 
     def _delayed_envelope(self, params, priority: int,
                           hops_upstream: int) -> BitStream:
-        """A broadcast's arrival stream after the given upstream hops."""
-        return params.worst_case_stream().delayed(
-            self._cdv[priority][hops_upstream])
+        """A broadcast's arrival stream after the given upstream hops.
+
+        Built once per distinct key and then shared.  The key carries
+        the number type of every descriptor field as well as its value:
+        ``cbr(Fraction(1, 2)) == cbr(0.5)``, but their envelopes differ
+        in type, and an exact workload must stay exact.
+        """
+        key = (params, type(params.pcr), type(params.scr),
+               type(params.mbs), priority, hops_upstream)
+        envelope = self._envelopes.get(key)
+        if envelope is None:
+            envelope = params.worst_case_stream().delayed(
+                self._cdv[priority][hops_upstream])
+            self._envelopes[key] = envelope
+        return envelope
 
     def _input_aggregates(self, link: int, priority_filter) -> List[BitStream]:
         """Per-incoming-link aggregates feeding ring link ``link``.

@@ -1,9 +1,12 @@
 """Property-based tests (hypothesis) for the bit-stream algebra.
 
-All strategies generate exact :class:`fractions.Fraction` streams so the
-algebraic laws can be asserted with ``==`` -- no tolerance games.
+The strategies generate exact :class:`fractions.Fraction` streams so the
+algebraic laws can be asserted with ``==`` -- no tolerance games.  Only
+the ``aggregate`` identity tests also draw float streams, where the
+point is bit-for-bit agreement under rounding.
 """
 
+import heapq
 import math
 from fractions import Fraction as F
 
@@ -127,6 +130,86 @@ def test_scaled_matches_repeated_sum(s, n):
     for _ in range(n):
         folded = folded + s
     assert s.scaled(n) == folded
+
+
+def _heap_merge_aggregate(streams):
+    """Oracle: the k-way heap merge ``aggregate`` used before the sort.
+
+    ``heapq.merge`` breaks ties between equal events by stream index, as
+    a stable sort of the concatenated events does, so the two must agree
+    bit for bit on every input, mixed number types included.
+    """
+    stream_list = [stream for stream in streams if not stream.is_zero]
+    if not stream_list:
+        return BitStream.zero()
+    if len(stream_list) == 1:
+        return stream_list[0]
+
+    def delta_events(stream):
+        previous = 0
+        for rate, time in zip(stream.rates, stream.times):
+            yield (time, rate - previous)
+            previous = rate
+
+    rates, times = [], []
+    total = 0
+    for time, delta in heapq.merge(*map(delta_events, stream_list)):
+        total = total + delta
+        if times and times[-1] == time:
+            rates[-1] = total
+        else:
+            rates.append(total)
+            times.append(time)
+    return BitStream(rates, times)
+
+
+@st.composite
+def float_streams(draw, max_segments=4):
+    """A non-increasing all-float stream on a coarse time grid.
+
+    Rates are arbitrary floats, so sums round; breakpoints share a grid,
+    so different streams often step at the same instant.
+    """
+    count = draw(st.integers(min_value=1, max_value=max_segments))
+    rates = sorted(
+        draw(st.lists(st.floats(min_value=0.01, max_value=1),
+                      min_size=count, max_size=count)),
+        reverse=True,
+    )
+    gaps = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),
+                         min_size=count - 1, max_size=count - 1))
+    times = [0.0]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    return BitStream(rates, times)
+
+
+@st.composite
+def stream_multisets(draw, streams):
+    """A list of streams in which some appear more than once."""
+    distinct = draw(st.lists(streams, min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=4))
+    return distinct + repeats
+
+
+@settings(max_examples=150)
+@given(st.one_of(stream_multisets(float_streams()),
+                 stream_multisets(monotone_streams()),
+                 stream_multisets(st.one_of(float_streams(),
+                                            monotone_streams()))))
+def test_aggregate_matches_heap_merge_bit_for_bit(streams):
+    # ``repr`` spells out every number's type and every float bit.
+    assert repr(aggregate(streams)) == repr(_heap_merge_aggregate(streams))
+
+
+@settings(max_examples=150)
+@given(st.one_of(stream_multisets(float_streams()),
+                 stream_multisets(monotone_streams())),
+       st.randoms(use_true_random=False))
+def test_aggregate_ignores_input_order(streams, rng):
+    shuffled = list(streams)
+    rng.shuffle(shuffled)
+    assert repr(aggregate(shuffled)) == repr(aggregate(streams))
 
 
 # ----------------------------------------------------------------------

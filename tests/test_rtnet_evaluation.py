@@ -1,9 +1,12 @@
 """RingAnalysis correctness and the figure drivers (Section 5)."""
 
 import math
+from fractions import Fraction as F
 
 import pytest
 
+from repro.core.bitstream import BitStream
+from repro.core.traffic import cbr
 from repro.exceptions import AdmissionError
 from repro.rtnet import (
     RingAnalysis,
@@ -118,6 +121,59 @@ class TestRingAnalysisStructure:
         assert analysis.link_bound(1, 1) >= analysis.link_bound(1, 0)
 
 
+class TestEnvelopeMemo:
+    """Each distinct delayed envelope is built once per analysis."""
+
+    @staticmethod
+    def _count_delays(monkeypatch):
+        calls = []
+        original = BitStream.delayed
+
+        def counting(self, cdv):
+            calls.append(cdv)
+            return original(self, cdv)
+
+        monkeypatch.setattr(BitStream, "delayed", counting)
+        return calls
+
+    @staticmethod
+    def _distinct_keys(workload, ring_nodes):
+        return {
+            (params, priority, hops)
+            for params, priority in workload.values()
+            for hops in range(ring_nodes - 1)
+        }
+
+    @pytest.mark.parametrize("case", ["symmetric", "two-priority"])
+    def test_one_delay_per_distinct_envelope(self, monkeypatch, case):
+        if case == "symmetric":
+            # The Fig. 10 N=16 point: 256 terminals, one descriptor.
+            workload = symmetric_workload(0.35, 16, 16)
+            bounds = {0: 32}
+        else:
+            workload = asymmetric_workload(
+                0.4, 0.5, 16, 4, hot_priority=1, other_priority=0)
+            bounds = {0: 32, 1: 128}
+        calls = self._count_delays(monkeypatch)
+        analysis = RingAnalysis(workload, 16, bounds)
+        for priority in bounds:
+            analysis.all_link_bounds(priority)
+            analysis.worst_link_backlog(priority)
+        assert 0 < len(calls) <= len(self._distinct_keys(workload, 16))
+        for priority in bounds:
+            for link in range(16):
+                fresh = RingAnalysis(workload, 16, bounds)
+                assert repr(analysis.link_bound(link, priority)) == repr(
+                    fresh.link_bound(link, priority))
+
+    def test_equal_descriptors_of_different_types_stay_apart(self):
+        analysis = RingAnalysis({(0, 0): (cbr(0.25), 0)}, 4)
+        as_float = analysis._delayed_envelope(cbr(0.25), 0, 2)
+        exact = analysis._delayed_envelope(cbr(F(1, 4)), 0, 2)
+        assert all(isinstance(rate, float) for rate in as_float.rates[1:])
+        assert all(isinstance(rate, F) for rate in exact.rates[1:])
+
+
 class TestFigure10Driver:
     def test_paper_headline_n1(self):
         """N=1: 75% load supported within the 1 ms (370 cell) bound."""
@@ -197,6 +253,36 @@ class TestFigure13Driver:
             [0.0], terminals_per_node=8, ring_nodes=8, tolerance=1 / 64)
         _p, hard, soft = rows[0]
         assert soft > hard
+
+
+class TestFigureGoldenValues:
+    """Exact figure points, pinned as literals.
+
+    Any change to the bit-stream arithmetic or the ring analysis that
+    moves a single float bit of these points fails here.  The capacity
+    rows use a coarse bisection tolerance to stay cheap.
+    """
+
+    def test_figure10_points(self):
+        assert repr(symmetric_delay_curve([0.25, 0.35], 16)) == (
+            "[DelayCurvePoint(load=0.25, delay_bound=322.64999999999986, "
+            "admissible=True), DelayCurvePoint(load=0.35, "
+            "delay_bound=380.23648648629944, admissible=True)]")
+
+    def test_figure11_row(self):
+        assert repr(asymmetric_capacity_curve(
+            [0.5], 8, tolerance=1 / 32)) == (
+            "[CapacityCurvePoint(hot_fraction=0.5, max_load=0.2734375)]")
+
+    def test_figure12_row(self):
+        assert repr(priority_capacity_curve(
+            [0.9], 8, tolerance=1 / 32)) == (
+            "[(0.9, 0.212890625, 0.455078125)]")
+
+    def test_figure13_row(self):
+        assert repr(soft_hard_capacity_curve(
+            [0.0], 8, tolerance=1 / 32)) == (
+            "[(0.0, 0.5458984375, 0.6669921875)]")
 
 
 class TestEstablishWorkload:
