@@ -7,9 +7,8 @@ Re-exports the pieces a typical user composes:
 * the worst-case analysis (:func:`delay_bound`);
 * per-switch and network-level admission control
   (:class:`SwitchCAC`, :class:`NetworkCAC`) with the batched pipeline
-  (:meth:`NetworkCAC.setup_many`) and its layered state
-  (:class:`PortState`, :class:`AdmissionStore` -- see
-  ``docs/architecture.md``);
+  (:meth:`NetworkCAC.setup_many`) and its per-port state
+  (:class:`PortState` -- see ``docs/architecture.md``);
 * the event-driven admission plane (:class:`AdmissionPlane`) running
   concurrent in-flight setups on the shared simulation engine;
 * CDV accumulation policies (:data:`HARD`, :data:`SOFT`);
@@ -36,7 +35,6 @@ from .delay_bound import (
 from .plane import AdmissionPlane, SetupOutcome
 from .port_state import PortState
 from .server import AdmissionDecision, AuditEntry, CacServer, PlanReport
-from .store import AdmissionStore
 from .switch_cac import (
     BatchCheckResult,
     CheckResult,
@@ -84,7 +82,6 @@ __all__ = [
     "BatchCheckResult",
     "PriorityBoundViolation",
     "PortState",
-    "AdmissionStore",
     "NetworkCAC",
     "BatchSetupResult",
     "AdmissionPlane",

@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import (
     AbstractSet,
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -88,6 +89,25 @@ from .bitstream import BitStream, Number
 from .switch_cac import BatchCheckResult, Leg, SwitchCAC
 
 __all__ = ["NetworkCAC", "BatchSetupResult"]
+
+
+def _failure_outcome(failure: AdmissionError,
+                     source: str) -> Tuple[str, str]:
+    """A failed setup walk's outcome label and the node that refused it.
+
+    An open breaker (:class:`LinkDown`) fast-failed the walk without
+    spending a timeout.  Any other :class:`AdmissionError` is only
+    reachable in the event-driven mode: a commit found its reservation
+    discarded by the TTL hold timer (or raced a concurrent walk's
+    conflicting state); it is reported at the route's source.
+    """
+    if isinstance(failure, SwitchRejection):
+        return "rejected", failure.switch
+    if isinstance(failure, SignalingTimeout):
+        return "timeout", failure.at_node
+    if isinstance(failure, LinkDown):
+        return "link-down", failure.at_node
+    return "expired", source
 
 
 @dataclass(frozen=True)
@@ -347,16 +367,6 @@ class NetworkCAC:
         return (yield from self._establish_steps(request, trace,
                                                  on_reserved=on_reserved))
 
-    def _establish(self, request: ConnectionRequest,
-                   trace: Optional[SignalingTrace],
-                   switch_id: Optional[str] = None,
-                   generation: int = 0) -> EstablishedConnection:
-        """Synchronous drain of :meth:`_establish_steps`."""
-        return drain_steps(
-            self._establish_steps(request, trace, switch_id, generation),
-            self.clock,
-        )
-
     def _establish_steps(self, request: ConnectionRequest,
                          trace: Optional[SignalingTrace],
                          switch_id: Optional[str] = None,
@@ -473,52 +483,19 @@ class NetworkCAC:
                             "commit", index, hop.switch, hop.in_link,
                             leg_id, process_commit,
                         )
-                except SwitchRejection as rejection:
-                    setup_span.tag(outcome="rejected")
-                    yield from self._unwind_steps(leg_id, hops[:touched],
-                                                  channel, trace)
+                except AdmissionError as failure:
+                    outcome, at_node = _failure_outcome(
+                        failure, request.route.source)
+                    setup_span.tag(outcome=outcome)
+                    yield from self._rollback_steps(
+                        leg_id, "abort",
+                        reversed(list(enumerate(hops[:touched]))),
+                        channel, trace)
                     if trace is not None:
                         trace.record(RejectMessage(
-                            leg_id, rejection.switch, str(rejection),
+                            leg_id, at_node, str(failure),
                         ))
-                    _finish("rejected")
-                    raise
-                except SignalingTimeout as timeout:
-                    setup_span.tag(outcome="timeout")
-                    yield from self._unwind_steps(leg_id, hops[:touched],
-                                                  channel, trace)
-                    if trace is not None:
-                        trace.record(RejectMessage(
-                            leg_id, timeout.at_node, str(timeout),
-                        ))
-                    _finish("timeout")
-                    raise
-                except LinkDown as down:
-                    # A hop's breaker is open: the walk fast-failed
-                    # without spending a single timeout.
-                    setup_span.tag(outcome="link-down")
-                    yield from self._unwind_steps(leg_id, hops[:touched],
-                                                  channel, trace)
-                    if trace is not None:
-                        trace.record(RejectMessage(
-                            leg_id, down.at_node, str(down),
-                        ))
-                    _finish("link-down")
-                    raise
-                except AdmissionError as expired:
-                    # Only reachable in the event-driven mode: a commit
-                    # found its reservation discarded by the TTL hold
-                    # timer (or raced a concurrent walk's conflicting
-                    # state).  The subclasses above were already
-                    # handled, so this branch is the residue.
-                    setup_span.tag(outcome="expired")
-                    yield from self._unwind_steps(leg_id, hops[:touched],
-                                                  channel, trace)
-                    if trace is not None:
-                        trace.record(RejectMessage(
-                            leg_id, request.route.source, str(expired),
-                        ))
-                    _finish("expired")
+                    _finish(outcome)
                     raise
                 setup_span.tag(outcome="accepted")
         finally:
@@ -537,37 +514,43 @@ class NetworkCAC:
         _finish("accepted")
         return established
 
-    def _unwind_steps(self, name: str, hops, channel: SignalingChannel,
-                      trace: Optional[SignalingTrace]):
-        """Abort every hop a failed walk may have touched (step generator).
+    def _rollback_steps(self, leg_id: str, phase: str,
+                        hops: Iterable[Tuple[int, Any]],
+                        channel: SignalingChannel,
+                        trace: Optional[SignalingTrace]):
+        """Unwind one booking at the given hops (step generator).
 
-        :meth:`SwitchCAC.rollback` is idempotent, so hops that never
-        actually reserved (the message was lost before arriving) or that
-        receive the ABORT twice are no-ops.  A crashed switch is
-        skipped: its journal recovery discards uncommitted reservations,
-        and :meth:`recover_switch` reconciles anything it had committed.
-        If the ABORT itself cannot be delivered, the switch discards the
-        reservation on its own once its holder falls silent (reservation
-        expiry), modelled here as a direct rollback.
+        ``phase`` is ``"abort"`` (a failed walk's reservations, hops
+        passed in reverse) or ``"release"`` (an established generation,
+        hops in route order); ``hops`` yields ``(index, hop)`` pairs in
+        delivery order.  :meth:`SwitchCAC.rollback` is idempotent, so
+        hops that never actually reserved (the message was lost before
+        arriving) or that receive the message twice are no-ops.  A
+        crashed switch is skipped: its journal recovery discards
+        uncommitted reservations, and :meth:`recover_switch` reconciles
+        anything it had committed.  If the message itself cannot be
+        delivered -- timeout or an open breaker -- the switch discards
+        the booking on its own once its holder falls silent
+        (reservation expiry), modelled here as a direct rollback.
         """
-        for index, hop in reversed(list(enumerate(hops))):
+        message = AbortMessage if phase == "abort" else ReleaseMessage
+        for index, hop in hops:
             cac = self._switches[hop.switch]
             if cac.crashed:
                 continue
 
-            def process_abort(hop=hop, cac=cac):
+            def process(hop=hop, cac=cac):
                 if trace is not None:
-                    trace.record(AbortMessage(name, hop.switch))
-                cac.rollback(name)
+                    trace.record(message(leg_id, hop.switch))
+                cac.rollback(leg_id)
 
             try:
                 yield from channel.deliver_steps(
-                    "abort", index, hop.switch, hop.in_link, name,
-                    process_abort,
+                    phase, index, hop.switch, hop.in_link, leg_id, process,
                 )
             except (SignalingTimeout, LinkDown):
                 try:
-                    cac.rollback(name)
+                    cac.rollback(leg_id)
                 except SwitchUnavailable:
                     pass
 
@@ -625,44 +608,22 @@ class NetworkCAC:
             established = self._established.pop(name)
         except KeyError:
             raise AdmissionError(f"no established connection {name!r}") from None
-        yield from self._release_legs_steps(established, trace)
+        yield from self._release_steps(established, trace)
         registry = _om.get_registry()
         if registry.enabled:
             registry.counter("network_teardowns_total").inc()
 
-    def _release_legs_steps(self, established: EstablishedConnection,
-                            trace: Optional[SignalingTrace]):
+    def _release_steps(self, established: EstablishedConnection,
+                       trace: Optional[SignalingTrace]):
         """Release one generation's booking at every hop, best-effort.
 
         Works off the connection's :attr:`leg_name` so it releases
         exactly the generation it is handed -- :meth:`teardown` passes
-        the current one, :meth:`migrate` the superseded one.  A crashed
-        hop is skipped (reconciled in :meth:`recover_switch`) and an
-        undeliverable RELEASE -- timeout or an open breaker -- falls
-        back to reservation expiry, modelled as a direct rollback.
+        the current one, :meth:`migrate` the superseded one.
         """
-        leg_id = established.leg_name
-        channel = self._channel(trace)
-        for index, commitment in enumerate(established.hops):
-            cac = self._switches[commitment.switch]
-            if cac.crashed:
-                continue
-
-            def process_release(commitment=commitment, cac=cac):
-                if trace is not None:
-                    trace.record(ReleaseMessage(leg_id, commitment.switch))
-                cac.rollback(leg_id)
-
-            try:
-                yield from channel.deliver_steps(
-                    "release", index, commitment.switch, commitment.in_link,
-                    leg_id, process_release,
-                )
-            except (SignalingTimeout, LinkDown):
-                try:
-                    cac.rollback(leg_id)
-                except SwitchUnavailable:
-                    pass
+        return self._rollback_steps(
+            established.leg_name, "release", enumerate(established.hops),
+            self._channel(trace), trace)
 
     def recover_switch(self, name: str) -> SwitchCAC:
         """Bring a crashed switch back and reconcile it with the network.
@@ -824,10 +785,10 @@ class NetworkCAC:
                 self.migration_journal.append(
                     "failed", name, generation, detail=str(exc))
                 raise MigrationError(name, str(exc)) from exc
-            # _establish registered the new generation under the plain
-            # name: that swap was the cutover.
+            # _establish_steps registered the new generation under the
+            # plain name: that swap was the cutover.
             self.migration_journal.append("cutover", name, generation)
-            yield from self._release_legs_steps(established, trace)
+            yield from self._release_steps(established, trace)
             self.migration_journal.append("released", name, generation)
             self._count_migration(MIGRATED)
             self.migration_journal.append("done", name, generation)

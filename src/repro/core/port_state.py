@@ -17,7 +17,7 @@ bookkeeping, no metrics registry -- those belong to
 :class:`~repro.core.switch_cac.SwitchCAC`.  The only outward hooks are
 
 * ``higher_ports`` -- a provider (injected by the owning
-  :class:`~repro.core.store.AdmissionStore`) yielding the sibling
+  :class:`~repro.core.switch_cac.SwitchCAC`) yielding the sibling
   :class:`PortState` objects of strictly higher priority on the same
   output link, which the lazy rebuilds of the interference caches read;
 * ``on_cache`` -- an optional ``(hit, cache_name)`` callback the owner

@@ -29,16 +29,15 @@ priority -- in RTnet the size of the priority-``p`` FIFO in cells --
 independent of current load (Section 4.1), which is what lets the
 distributed setup procedure accumulate CDV without iterating.
 
-Layering (see ``docs/architecture.md``): this class is the admission
-*protocol* -- Steps 1-6, the two-phase transitions, journaling,
-recovery, metrics.  The *state* lives one layer down: every
+Layering (see ``docs/architecture.md``): this class owns the switch's
+legs, journal and checks -- Steps 1-6, the two-phase transitions,
+recovery, metrics -- plus the advertised bounds and the in-link rate
+ledger.  The per-port arithmetic lives one layer down: every
 ``(out_link, priority)`` port is a pure
 :class:`~repro.core.port_state.PortState` holding its aggregates,
 incremental-delta caches and memoized
-:class:`~repro.core.delay_bound.ServiceCurve`, and all ports plus the
-committed/pending leg maps live in one
-:class:`~repro.core.store.AdmissionStore`.  Checks, journal replay and
-:meth:`verify_consistency` all go through that store.
+:class:`~repro.core.delay_bound.ServiceCurve`.  Every leg transition,
+live or replayed, is one journal entry applied by :meth:`SwitchCAC._apply`.
 
 Transactional setup (see ``docs/robustness.md``): the two-phase network
 walk first *reserves* a leg (:meth:`reserve` -- resources held, not yet
@@ -67,18 +66,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from ..exceptions import AdmissionError, SwitchRejection, SwitchUnavailable
 from ..obs import clock as _oclock
 from ..obs import metrics as _om
 from ..obs import spans as _ospans
-from ..robustness.journal import AdmissionJournal
+from ..robustness.journal import AdmissionJournal, JournalEntry
 from .bitstream import BitStream, Number, ZERO_STREAM, aggregate
 from .delay_bound import (backlog_bound_with_higher, delay_bound,
                           latency_rate_bound)
 from .port_state import PortState
-from .store import AdmissionStore
 
 __all__ = ["SwitchCAC", "Leg", "CheckResult", "BatchCheckResult",
            "PriorityBoundViolation"]
@@ -286,8 +285,17 @@ class SwitchCAC:
         self.filter_per_input = filter_per_input
         #: screened admission fast path (False: exact reference path).
         self.fast_path = fast_path
-        #: all CAC state -- ports, caches, committed/pending legs.
-        self._store = AdmissionStore(filter_per_input, self._count_cache)
+        #: out_link -> priority -> PortState, priorities ascending (the
+        #: advertised bounds live on the ports).
+        self._ports: Dict[str, Dict[int, PortState]] = {}
+        #: committed and reserved-but-uncommitted Legs, insertion order
+        #: (typed Any: journal entries carry their legs untyped).
+        self._committed: Dict[str, Any] = {}
+        self._pending: Dict[str, Any] = {}
+        #: each reservation's replayable CheckResult.
+        self._results: Dict[str, Any] = {}
+        #: admitted long-run rate per incoming link (exact + fast path).
+        self._in_link_rate: Dict[str, Number] = {}
         #: stable storage: survives crash(), drives recover().
         self._journal = AdmissionJournal()
         self._crashed = False
@@ -323,11 +331,6 @@ class SwitchCAC:
     # Configuration
     # ------------------------------------------------------------------
 
-    @property
-    def store(self) -> AdmissionStore:
-        """The ports, legs and in-link ledger of this switch."""
-        return self._store
-
     def configure_link(self, out_link: str,
                        bounds: Mapping[int, Number]) -> None:
         """Declare an output link and its advertised per-priority bounds.
@@ -350,30 +353,58 @@ class SwitchCAC:
                     f"advertised bound must be positive, got {bound} for "
                     f"priority {priority}"
                 )
-        if self._store.has_link(out_link):
-            dropped = set(self._store.priorities(out_link)).difference(bounds)
-            if dropped:
-                for legs in self._journal.replay():
-                    for leg in legs.values():
-                        if leg.out_link == out_link and \
-                                leg.priority in dropped:
-                            raise AdmissionError(
-                                f"cannot drop priority {leg.priority} from "
-                                f"link {out_link!r} at switch {self.name!r}: "
-                                f"connection {leg.connection_id!r} holds a "
-                                f"leg there"
-                            )
-        self._store.configure_link(out_link, bounds)
+        existing = self._ports.get(out_link, {})
+        dropped = set(existing).difference(bounds)
+        if dropped:
+            for legs in self._journal.replay():
+                for leg in legs.values():
+                    if leg.out_link == out_link and leg.priority in dropped:
+                        raise AdmissionError(
+                            f"cannot drop priority {leg.priority} from "
+                            f"link {out_link!r} at switch {self.name!r}: "
+                            f"connection {leg.connection_id!r} holds a "
+                            f"leg there"
+                        )
+        ports: Dict[int, PortState] = {}
+        added: List[PortState] = []
+        for priority in sorted(bounds):
+            port = existing.get(priority)
+            if port is None:
+                port = PortState(
+                    out_link, priority, bounds[priority],
+                    filter_per_input=self.filter_per_input,
+                    higher_ports=self._higher_provider(out_link, priority),
+                    on_cache=self._count_cache,
+                )
+                added.append(port)
+            port.advertised_bound = bounds[priority]
+            ports[priority] = port
+        self._ports[out_link] = ports
+        # A priority added under load starts with the headroom ledger of
+        # the legs above it; its caches build lazily.
+        for port in added:
+            for legs in (self._committed, self._pending):
+                for leg in legs.values():
+                    if leg.out_link == out_link and \
+                            leg.priority < port.priority:
+                        port.apply_higher(leg.in_link, leg.stream, True,
+                                          patch_caches=False)
+
+    def _higher_provider(self, out_link: str, priority: int):
+        """The same-link ports above ``priority``, as configured now."""
+        def provider() -> List[PortState]:
+            return [port for port in self._ports[out_link].values()
+                    if port.priority < priority]
+        return provider
+
+    def _ports_below(self, out_link: str, priority: int) -> List[PortState]:
+        """Same-link ports of strictly lower priority (larger number)."""
+        return [port for port in self._ports[out_link].values()
+                if port.priority > priority]
 
     def advertised_bound(self, out_link: str, priority: int) -> Number:
         """The fixed bound ``D(j, p)`` the switch guarantees."""
-        if self._store.has_link(out_link) and \
-                priority in self._store.priorities(out_link):
-            return self._store.port(out_link, priority).advertised_bound
-        raise AdmissionError(
-            f"switch {self.name!r} does not serve priority {priority} "
-            f"on link {out_link!r}"
-        )
+        return self.port(out_link, priority).advertised_bound
 
     def out_links(self) -> List[str]:
         """Names of the configured output links, sorted.
@@ -381,11 +412,11 @@ class SwitchCAC:
         Deterministic (sorted) so batch grouping, serialization and
         Prometheus exposition are reproducible across runs.
         """
-        return self._store.out_links()
+        return sorted(self._ports)
 
     def priorities(self, out_link: str) -> List[int]:
         """Real-time priorities served on ``out_link``, highest first."""
-        return self._store.priorities(out_link)
+        return list(self._ports[out_link])
 
     # ------------------------------------------------------------------
     # State access
@@ -394,12 +425,12 @@ class SwitchCAC:
     @property
     def legs(self) -> Mapping[str, Leg]:
         """The currently admitted (committed) legs, keyed by connection id."""
-        return dict(self._store.committed())
+        return dict(self._committed)
 
     @property
     def pending(self) -> Mapping[str, Leg]:
         """Reserved-but-uncommitted legs of in-flight two-phase walks."""
-        return dict(self._store.pending())
+        return dict(self._pending)
 
     @property
     def journal(self) -> AdmissionJournal:
@@ -439,15 +470,27 @@ class SwitchCAC:
             raise SwitchUnavailable(self.name)
 
     def port(self, out_link: str, priority: int) -> PortState:
-        """The :class:`PortState` of one configured port."""
-        return self._store.port(out_link, priority)
+        """The :class:`PortState` of one configured port.
+
+        Raises :class:`AdmissionError` for an unconfigured port.
+        """
+        ports = self._ports.get(out_link)
+        if ports is None:
+            raise AdmissionError(
+                f"switch {self.name!r} has no output link {out_link!r}"
+            )
+        port = ports.get(priority)
+        if port is None:
+            raise AdmissionError(
+                f"switch {self.name!r} does not serve priority {priority} "
+                f"on link {out_link!r}"
+            )
+        return port
 
     def sia(self, in_link: str, out_link: str, priority: int) -> BitStream:
         """``Sia(i, j, p)``: the per-pair per-priority aggregate."""
-        if not self._store.has_link(out_link) or \
-                priority not in self._store.priorities(out_link):
-            return ZERO_STREAM
-        return self._store.port(out_link, priority).sia(in_link)
+        port = self._ports.get(out_link, {}).get(priority)
+        return ZERO_STREAM if port is None else port.sia(in_link)
 
     def soa(self, out_link: str, priority: int,
             replace: Optional[Tuple[str, BitStream]] = None) -> BitStream:
@@ -459,7 +502,7 @@ class SwitchCAC:
         aggregate this is one subtract-and-add delta, O(m), instead of
         a re-aggregation over every incoming link.
         """
-        return self._store.port(out_link, priority).soa(replace=replace)
+        return self.port(out_link, priority).soa(replace=replace)
 
     def sof_higher(self, out_link: str, priority: int,
                    extra: Optional[Tuple[str, BitStream]] = None) -> BitStream:
@@ -471,26 +514,33 @@ class SwitchCAC:
         existing lower priority); like ``replace`` above, the candidate
         variant is an O(m) delta against the cached interference sum.
         """
-        return self._store.port(out_link, priority).sof_higher(extra=extra)
+        return self.port(out_link, priority).sof_higher(extra=extra)
 
     # ------------------------------------------------------------------
     # Incremental state transitions
     # ------------------------------------------------------------------
 
-    def _apply(self, in_link: str, out_link: str, priority: int,
-               stream: BitStream, add: bool,
-               patch_caches: bool = True) -> None:
-        """Patch every cached aggregate for one admit/release delta.
+    def _apply(self, entry: JournalEntry,
+               result: Optional[CheckResult] = None,
+               patch_caches: bool = True) -> Leg:
+        """Apply one journal entry to the switch state; returns its leg.
 
-        Same-priority state -- ``Sia``, ``Sif`` and the ``Soa`` sum --
-        and the higher-priority interference of every lower priority
-        are updated by a single ``+``/``-`` of the connection's stream
-        (Algorithms 3.2/3.3); only the final output filter and the
-        ServiceCurve of affected lower priorities are recomputed, and
-        those lazily, on the next check that needs them.  The actual
-        patching lives in :meth:`PortState.apply_same` /
-        :meth:`PortState.apply_higher`, orchestrated by
-        :meth:`AdmissionStore.apply_delta`.
+        The only place legs move and aggregates change.  Live
+        transitions journal their entry first and apply it here;
+        :meth:`recover` replays the journal through here, so a restart
+        re-runs exactly the live arithmetic in the original order.
+        ``result`` is a ``reserve``'s replayable :class:`CheckResult`.
+
+        A ``commit`` only moves the leg.  Every other op is one
+        admit/release delta: same-priority state -- ``Sia``, ``Sif`` and
+        the ``Soa`` sum -- and the higher-priority interference of every
+        lower priority are updated by a single ``+``/``-`` of the
+        connection's stream (Algorithms 3.2/3.3); only the final output
+        filter and the ServiceCurve of affected lower priorities are
+        recomputed, and those lazily, on the next check that needs them.
+        Lower-priority caches are patched first (their forced rebuilds
+        must read pre-change aggregates), then the port's own state
+        (:meth:`PortState.apply_same`), then the in-link ledger.
 
         ``patch_caches=False`` (the batched pipeline's bulk mode)
         invalidates the derived caches instead of patching them --
@@ -498,11 +548,38 @@ class SwitchCAC:
         member, making a single lazy rebuild cheaper than the patches.
         The ground-truth ``Sia`` merge always runs per leg, in order.
         """
+        op = entry.op
+        connection_id = entry.connection_id
+        if op == "commit":
+            leg = self._committed[connection_id] = \
+                self._pending.pop(connection_id)
+            self._results.pop(connection_id, None)
+            return leg
+        add = op in ("reserve", "admit")
+        if op == "reserve":
+            leg = self._pending[connection_id] = entry.leg
+            if result is not None:
+                self._results[connection_id] = result
+        elif op == "admit":
+            leg = self._committed[connection_id] = entry.leg
+        elif op == "abort":
+            leg = self._pending.pop(connection_id)
+            self._results.pop(connection_id, None)
+        else:  # release
+            leg = self._committed.pop(connection_id)
         obs = self._rebind()
         if obs.enabled:
             obs.incremental.inc()
-        self._store.apply_delta(in_link, out_link, priority, stream, add,
-                                patch_caches=patch_caches)
+        in_link, stream = leg.in_link, leg.stream
+        for lower in self._ports_below(leg.out_link, leg.priority):
+            lower.apply_higher(in_link, stream, add,
+                               patch_caches=patch_caches)
+        self._ports[leg.out_link][leg.priority].apply_same(
+            in_link, stream, add, patch_caches=patch_caches)
+        rate = stream.long_run_rate
+        base = self._in_link_rate.get(in_link, 0)
+        self._in_link_rate[in_link] = (base + rate) if add else (base - rate)
+        return leg
 
     # ------------------------------------------------------------------
     # Admission (Steps 1-6)
@@ -531,23 +608,10 @@ class SwitchCAC:
                     obs.check_rejections.inc()
         return result
 
-    def _validate_port(self, out_link: str, priority: int) -> None:
-        """Raise :class:`AdmissionError` for an unconfigured port."""
-        if not self._store.has_link(out_link):
-            raise AdmissionError(
-                f"switch {self.name!r} has no output link {out_link!r}"
-            )
-        if priority not in self._store.priorities(out_link):
-            raise AdmissionError(
-                f"switch {self.name!r} does not serve priority {priority} "
-                f"on link {out_link!r}"
-            )
-
     def _check_impl(self, in_link: str, out_link: str, priority: int,
                     stream: BitStream) -> CheckResult:
         self._ensure_up()
-        self._validate_port(out_link, priority)
-        port = self._store.port(out_link, priority)
+        port = self.port(out_link, priority)
 
         computed: Dict[int, Number] = {}
         violations: List[PriorityBoundViolation] = []
@@ -556,9 +620,9 @@ class SwitchCAC:
         # per-input aggregate at the link rate, which would otherwise
         # silently mask a physically impossible load (total sustained
         # rate beyond what the incoming link can ever deliver) as a
-        # zero-delay stream.  The rate comes from the store's in-link
-        # ledger -- the same sums on the exact and screened paths.
-        if self._store.in_link_rate(in_link) + stream.long_run_rate > 1:
+        # zero-delay stream.  The rate comes from the in-link ledger --
+        # the same sums on the exact and screened paths.
+        if self._in_link_rate.get(in_link, 0) + stream.long_run_rate > 1:
             violations.append(PriorityBoundViolation(
                 priority, math.inf, port.advertised_bound,
             ))
@@ -590,7 +654,7 @@ class SwitchCAC:
             ))
 
         # Steps 5-6: every lower real-time priority on the same port.
-        for lower_port in self._store.ports_below(out_link, priority):
+        for lower_port in self._ports_below(out_link, priority):
             soa_lower = lower_port.soa()
             if soa_lower.is_zero:
                 continue  # no traffic to disturb
@@ -669,7 +733,7 @@ class SwitchCAC:
         computed[priority] = bound
 
         # ... then every lower port the exact path would re-check.
-        for lower in self._store.ports_below(port.out_link, priority):
+        for lower in self._ports_below(port.out_link, priority):
             if lower.is_idle():
                 continue  # exact path skips it too (Soa is zero)
             bound = self._screen_port_bound(
@@ -730,7 +794,7 @@ class SwitchCAC:
             obs.batch_legs.inc(len(candidates))
 
         for leg in candidates:
-            self._validate_port(leg.out_link, leg.priority)
+            self.port(leg.out_link, leg.priority)
 
         # Group the candidate streams: (out_link, priority) -> in_link
         # -> aggregated candidate stream (one k-way merge per group).
@@ -755,7 +819,7 @@ class SwitchCAC:
         # + candidate rate fits every incoming link, every subset fits.
         infeasible_links = {
             in_link for in_link, rate in in_link_rates.items()
-            if self._store.in_link_rate(in_link) + rate > 1
+            if self._in_link_rate.get(in_link, 0) + rate > 1
         }
         if infeasible_links:
             for (out_link, priority), per_input in sorted(grouped.items()):
@@ -765,7 +829,7 @@ class SwitchCAC:
                 violations.setdefault(out_link, []).append(
                     PriorityBoundViolation(
                         priority, math.inf,
-                        self._store.port(out_link, priority).advertised_bound,
+                        self._ports[out_link][priority].advertised_bound,
                     ))
             return self._batch_result(candidates, computed, violations)
 
@@ -782,7 +846,7 @@ class SwitchCAC:
             # Candidate streams per priority on this link, for the
             # "higher-priority interference" side of the lower checks.
             extras_above: Dict[str, BitStream] = {}
-            for port in self._store.ports_for(out_link):
+            for port in self._ports[out_link].values():
                 priority = port.priority
                 candidates_here = grouped.get((out_link, priority), {})
                 if not candidates_here and not extras_above:
@@ -862,7 +926,7 @@ class SwitchCAC:
         for out_link in affected_links:
             extra_rate: Number = 0
             extra_burst: Number = 0
-            for port in self._store.ports_for(out_link):
+            for port in self._ports[out_link].values():
                 candidates_here = grouped.get((out_link, port.priority))
                 if not candidates_here:
                     if (extra_rate == 0 and extra_burst == 0) \
@@ -896,8 +960,8 @@ class SwitchCAC:
         connection id is already present.
         """
         self._ensure_up()
-        if self._store.get_committed(connection_id) is not None or \
-                self._store.get_pending(connection_id) is not None:
+        if connection_id in self._committed or \
+                connection_id in self._pending:
             raise AdmissionError(
                 f"connection {connection_id!r} already admitted at switch "
                 f"{self.name!r}"
@@ -910,9 +974,7 @@ class SwitchCAC:
                 worst.computed_bound, worst.advertised_bound,
             )
         leg = Leg(connection_id, in_link, out_link, priority, stream)
-        self._store.put_committed(connection_id, leg)
-        self._journal.append("admit", connection_id, leg)
-        self._apply(in_link, out_link, priority, stream, add=True)
+        self._apply(self._journal.append("admit", connection_id, leg))
         self._rebind().admits.inc()
         return result
 
@@ -928,9 +990,8 @@ class SwitchCAC:
         :meth:`rollback` instead.
         """
         self._ensure_up()
-        leg = self._store.pop_committed(connection_id)
-        if leg is None:
-            if self._store.get_pending(connection_id) is not None:
+        if connection_id not in self._committed:
+            if connection_id in self._pending:
                 raise AdmissionError(
                     f"connection {connection_id!r} is only reserved (not "
                     f"committed) at switch {self.name!r}; rollback() is the "
@@ -941,9 +1002,7 @@ class SwitchCAC:
                 f"{self.name!r} (unknown or already released); aggregates "
                 f"left untouched"
             )
-        self._journal.append("release", connection_id)
-        self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                    add=False)
+        leg = self._apply(self._journal.append("release", connection_id))
         self._rebind().releases.inc()
         return leg
 
@@ -963,12 +1022,10 @@ class SwitchCAC:
         :class:`AdmissionError`.
         """
         self._ensure_up()
-        self._check_reservable(
-            connection_id, Leg(connection_id, in_link, out_link, priority,
-                               stream))
-        held = self._store.get_pending(connection_id)
-        if held is not None:
-            return self._store.pending_result(connection_id)
+        leg = Leg(connection_id, in_link, out_link, priority, stream)
+        self._check_reservable(connection_id, leg)
+        if connection_id in self._pending:
+            return self._results.get(connection_id)
         result = self.check(in_link, out_link, priority, stream)
         if not result.admitted:
             worst = result.violations[0]
@@ -976,8 +1033,9 @@ class SwitchCAC:
                 self.name, out_link, worst.priority,
                 worst.computed_bound, worst.advertised_bound,
             )
-        leg = Leg(connection_id, in_link, out_link, priority, stream)
-        self._hold(leg, result)
+        self._apply(self._journal.append("reserve", connection_id, leg),
+                    result)
+        self._rebind().reserves.inc()
         return result
 
     def reserve_checked(self, leg: Leg, result: CheckResult) -> CheckResult:
@@ -991,49 +1049,41 @@ class SwitchCAC:
         and metric transitions to :meth:`reserve`.
         """
         self._ensure_up()
-        self._check_reservable(leg.connection_id, leg)
-        if self._store.get_pending(leg.connection_id) is not None:
-            return self._store.pending_result(leg.connection_id)
-        self._hold(leg, result, patch_caches=False)
+        connection_id = leg.connection_id
+        self._check_reservable(connection_id, leg)
+        if connection_id in self._pending:
+            return self._results.get(connection_id)
+        self._apply(self._journal.append("reserve", connection_id, leg),
+                    result, patch_caches=False)
+        self._rebind().reserves.inc()
         return result
 
     def _check_reservable(self, connection_id: str, leg: Leg) -> None:
         """Shared reserve-precondition checks (committed/conflicting)."""
-        if self._store.get_committed(connection_id) is not None:
+        if connection_id in self._committed:
             raise AdmissionError(
                 f"connection {connection_id!r} already admitted at switch "
                 f"{self.name!r}"
             )
-        held = self._store.get_pending(connection_id)
+        held = self._pending.get(connection_id)
         if held is not None and held != leg:
             raise AdmissionError(
                 f"connection {connection_id!r} already holds a conflicting "
                 f"reservation at switch {self.name!r}"
             )
 
-    def _hold(self, leg: Leg, result: CheckResult,
-              patch_caches: bool = True) -> None:
-        """Record a fresh reservation: store, journal, aggregates."""
-        self._store.put_pending(leg.connection_id, leg, result)
-        self._journal.append("reserve", leg.connection_id, leg)
-        self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                    add=True, patch_caches=patch_caches)
-        self._rebind().reserves.inc()
-
     def commit(self, connection_id: str) -> Leg:
         """Phase 2: confirm a reservation.  Idempotent on re-delivery."""
         self._ensure_up()
-        committed = self._store.get_committed(connection_id)
+        committed = self._committed.get(connection_id)
         if committed is not None:
             return committed
-        leg = self._store.pop_pending(connection_id)
-        if leg is None:
+        if connection_id not in self._pending:
             raise AdmissionError(
                 f"no reservation for connection {connection_id!r} to commit "
                 f"at switch {self.name!r}"
             )
-        self._store.put_committed(connection_id, leg)
-        self._journal.append("commit", connection_id)
+        leg = self._apply(self._journal.append("commit", connection_id))
         self._rebind().commits.inc()
         return leg
 
@@ -1046,21 +1096,15 @@ class SwitchCAC:
         cannot know how far the receiver got before a fault struck.
         """
         self._ensure_up()
-        leg = self._store.pop_pending(connection_id)
-        if leg is not None:
-            self._journal.append("abort", connection_id)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=False)
-            self._rebind().rollbacks.inc()
-            return leg
-        leg = self._store.pop_committed(connection_id)
-        if leg is not None:
-            self._journal.append("release", connection_id)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=False)
-            self._rebind().rollbacks.inc()
-            return leg
-        return None
+        if connection_id in self._pending:
+            op = "abort"
+        elif connection_id in self._committed:
+            op = "release"
+        else:
+            return None
+        leg = self._apply(self._journal.append(op, connection_id))
+        self._rebind().rollbacks.inc()
+        return leg
 
     def expire(self, connection_id: str) -> Optional[Leg]:
         """Discard a *pending* reservation whose hold timer ran out.
@@ -1075,14 +1119,25 @@ class SwitchCAC:
         ``abort``, exactly like an explicit unwind.
         """
         self._ensure_up()
-        leg = self._store.pop_pending(connection_id)
-        if leg is None:
+        if connection_id not in self._pending:
             return None
-        self._journal.append("abort", connection_id)
-        self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                    add=False)
+        leg = self._apply(self._journal.append("abort", connection_id))
         self._rebind().expiries.inc()
         return leg
+
+    def _clear_volatile(self) -> None:
+        """Drop legs, reservations, the ledger and every aggregate cache.
+
+        Port configuration (advertised bounds) survives -- it is boot
+        configuration, not run-time state.
+        """
+        self._committed.clear()
+        self._pending.clear()
+        self._results.clear()
+        self._in_link_rate.clear()
+        for ports in self._ports.values():
+            for port in ports.values():
+                port.clear()
 
     def crash(self) -> None:
         """Simulate a node failure: volatile state lost, journal kept.
@@ -1093,7 +1148,7 @@ class SwitchCAC:
         """
         self._crashed = True
         self._epoch += 1
-        self._store.clear_volatile()
+        self._clear_volatile()
 
     def recover(self) -> None:
         """Rebuild the caches by replaying the journal op-for-op.
@@ -1101,24 +1156,23 @@ class SwitchCAC:
         Replaying the exact admit/release sequence (rather than summing
         the surviving legs) reproduces the incremental arithmetic in its
         original order, so the recovered committed state is bit-identical
-        to what the switch held before the crash.  Reservations that
-        never committed are in-flight transactions the crash aborted:
-        they are discarded (and journaled as aborts) at the end of the
-        replay.  Every replayed transition goes through the same
-        :class:`AdmissionStore` as live admission, and the result is
-        validated with :meth:`verify_consistency`.
+        to what the switch held before the crash.  Every entry goes
+        through :meth:`_apply`, the method live transitions use.
+        Reservations that never committed are in-flight transactions the
+        crash aborted: they are discarded (and journaled as aborts) at
+        the end of the replay.  The result is validated with
+        :meth:`verify_consistency`.
         """
         self._crashed = False
-        self._store.clear_volatile()
-        replayed = self._journal.replay_into(self._store, apply=self._apply)
-        for connection_id in list(self._store.pending()):
-            leg = self._store.pop_pending(connection_id)
-            self._journal.append("abort", connection_id)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=False)
+        self._clear_volatile()
+        entries = self._journal.entries
+        for entry in entries:
+            self._apply(entry)
+        for connection_id in list(self._pending):
+            self._apply(self._journal.append("abort", connection_id))
         obs = self._rebind()
         obs.recoveries.inc()
-        obs.replayed.set(replayed)
+        obs.replayed.set(len(entries))
         if not self.verify_consistency():
             raise AdmissionError(
                 f"journal recovery left switch {self.name!r} with "
@@ -1133,11 +1187,15 @@ class SwitchCAC:
     def snapshot_state(self) -> Dict[str, List[Leg]]:
         """The state-determining legs (committed and pending), in order.
 
-        A store-level snapshot: legs fully determine every aggregate.
-        See :func:`repro.network.serialization.switch_state_to_dict`
-        for the JSON-safe form.
+        Legs fully determine every aggregate, so this is the whole
+        story; :meth:`restore_state` rebuilds the rest.  See
+        :func:`repro.network.serialization.switch_state_to_dict` for the
+        JSON-safe form.
         """
-        return self._store.snapshot()
+        return {
+            "committed": list(self._committed.values()),
+            "pending": list(self._pending.values()),
+        }
 
     def restore_state(self, snapshot: Mapping[str, Sequence[Leg]]) -> None:
         """Boot-time restore of a :meth:`snapshot_state` leg snapshot.
@@ -1146,24 +1204,34 @@ class SwitchCAC:
         leg is journaled -- committed legs as one-shot ``admit``
         entries, pending legs as ``reserve`` -- so a later
         :meth:`crash`/:meth:`recover` cycle still replays to exactly
-        this state.
+        this state.  The snapshot may come from outside the program, so
+        every leg is checked before anything is written: a leg on an
+        unconfigured port or a connection id listed twice raises
+        :class:`AdmissionError` and leaves the switch and its journal
+        untouched.
         """
         self._ensure_up()
-        if self._store.committed() or self._store.pending():
+        if self._committed or self._pending:
             raise AdmissionError(
                 f"switch {self.name!r} is not empty; restore_state is a "
                 f"boot-time operation"
             )
-        for leg in snapshot.get("committed", ()):
-            self._store.put_committed(leg.connection_id, leg)
-            self._journal.append("admit", leg.connection_id, leg)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=True)
-        for leg in snapshot.get("pending", ()):
-            self._store.put_pending(leg.connection_id, leg)
-            self._journal.append("reserve", leg.connection_id, leg)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=True)
+        committed = list(snapshot.get("committed", ()))
+        pending = list(snapshot.get("pending", ()))
+        seen: Set[str] = set()
+        for leg in committed + pending:
+            if leg.connection_id in seen:
+                raise AdmissionError(
+                    f"cannot restore switch {self.name!r}: connection "
+                    f"{leg.connection_id!r} appears twice in the snapshot"
+                )
+            seen.add(leg.connection_id)
+            self.port(leg.out_link, leg.priority)
+        for leg in committed:
+            self._apply(self._journal.append("admit", leg.connection_id, leg))
+        for leg in pending:
+            self._apply(self._journal.append("reserve", leg.connection_id,
+                                             leg))
         if not self.verify_consistency():
             raise AdmissionError(
                 f"restore left switch {self.name!r} with inconsistent caches"
@@ -1175,7 +1243,7 @@ class SwitchCAC:
 
     def computed_bound(self, out_link: str, priority: int) -> Number:
         """Worst-case delay bound of the *currently admitted* traffic."""
-        port = self._store.port(out_link, priority)
+        port = self.port(out_link, priority)
         soa = port.soa()
         if soa.is_zero:
             return 0
@@ -1188,7 +1256,7 @@ class SwitchCAC:
         stays at or below the configured queue length, worst-case
         traffic is never dropped.
         """
-        port = self._store.port(out_link, priority)
+        port = self.port(out_link, priority)
         soa = port.soa()
         if soa.is_zero:
             return 0
@@ -1197,17 +1265,17 @@ class SwitchCAC:
     def in_link_utilization(self, in_link: str) -> Number:
         """Long-run admitted rate entering via one incoming link.
 
-        Served from the store's in-link ledger -- a scalar running sum
+        Served from the in-link ledger -- a scalar running sum
         patched by the same deltas as the aggregates, and the value the
         admission check's feasibility test reads on both the exact and
         the screened path.
         """
-        return self._store.in_link_rate(in_link)
+        return self._in_link_rate.get(in_link, 0)
 
     def utilization(self, out_link: str) -> Number:
         """Long-run admitted rate on an output link (1.0 == saturated)."""
         total: Number = 0
-        for port in self._store.ports_for(out_link):
+        for port in self._ports[out_link].values():
             total += port.long_run_rate()
         return total
 
@@ -1219,7 +1287,7 @@ class SwitchCAC:
         it after long admit/release sequences to catch drift.
         """
         fresh: Dict[Tuple[str, str, int], BitStream] = {}
-        for legs in (self._store.committed(), self._store.pending()):
+        for legs in (self._committed, self._pending):
             for leg in legs.values():
                 key = (leg.in_link, leg.out_link, leg.priority)
                 base = fresh.get(key, ZERO_STREAM)
@@ -1231,32 +1299,30 @@ class SwitchCAC:
 
         Checks the ``Sia`` ground truth *and* each populated derived
         cache (higher-priority aggregates, output sums) against values
-        recomputed from the per-leg streams alone.  Every port is read
-        through the :class:`AdmissionStore`, so a store that corrupts or
-        loses state cannot pass.
+        recomputed from the per-leg streams alone, plus the in-link
+        ledger.
         """
         fresh = self.recompute_aggregates()
-        covered = {
-            (port.out_link, port.priority) for port in self._store.ports()
-        }
+        ports = [port for per_link in self._ports.values()
+                 for port in per_link.values()]
         for (in_link, out_link, priority) in fresh:
-            if (out_link, priority) not in covered:
-                return False  # a leg on a port the store no longer has
+            if priority not in self._ports.get(out_link, {}):
+                return False  # a leg on a port the switch no longer has
         in_rates: Dict[str, Number] = {}
         for (in_link, _out, _p), stream in fresh.items():
             in_rates[in_link] = in_rates.get(in_link, 0) \
                 + stream.long_run_rate
         for in_link, expected in in_rates.items():
-            if abs(self._store.in_link_rate(in_link) - expected) > tolerance:
+            if abs(self._in_link_rate.get(in_link, 0) - expected) \
+                    > tolerance:
                 return False
-        return all(port.verify_against(fresh, tolerance)
-                   for port in self._store.ports())
+        return all(port.verify_against(fresh, tolerance) for port in ports)
 
     def __repr__(self) -> str:
         status = ", crashed" if self._crashed else ""
         return (
             f"SwitchCAC(name={self.name!r}, "
-            f"legs={len(self._store.committed())}, "
-            f"pending={len(self._store.pending())}, "
+            f"legs={len(self._committed)}, "
+            f"pending={len(self._pending)}, "
             f"links={self.out_links()}{status})"
         )

@@ -202,11 +202,10 @@ def leg_from_dict(data: Mapping[str, Any]) -> Leg:
 
 
 def switch_state_to_dict(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
-    """Serialize a :meth:`SwitchCAC.snapshot_state` /
-    :meth:`AdmissionStore.snapshot` leg snapshot.
+    """Serialize a :meth:`SwitchCAC.snapshot_state` leg snapshot.
 
     The legs fully determine every aggregate, so this round trip is a
-    complete store-level persistence story: restore with
+    complete persistence story for one switch: restore with
     :func:`switch_state_from_dict` into
     :meth:`SwitchCAC.restore_state` (journaled, crash-recoverable).
     """

@@ -5,9 +5,10 @@ Each :class:`~repro.core.switch_cac.SwitchCAC` writes one
 ``abort``, one-shot ``admit``, ``release`` -- to an
 :class:`AdmissionJournal`.  The journal models the switch's stable
 storage: a crash wipes the incremental aggregate caches but never the
-journal, and ``SwitchCAC.recover()`` replays it op-for-op to rebuild a
-state bit-identical to the pre-crash committed state (reservations that
-never committed are discarded during replay, exactly as a real
+journal, and ``SwitchCAC.recover()`` replays its entries op-for-op
+through the same method that applied them live, rebuilding a state
+bit-identical to the pre-crash committed state (reservations that
+never committed are discarded after the replay, exactly as a real
 transaction log discards in-flight transactions).
 
 The journal stores the opaque ``leg`` payload the switch gives it
@@ -19,7 +20,7 @@ added and read, never removed or reordered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..obs import events as _oevents
 from ..obs import metrics as _om
@@ -101,47 +102,6 @@ class AdmissionJournal:
             elif entry.op == "release":
                 committed.pop(entry.connection_id, None)
         return committed, pending
-
-    def replay_into(self, store: Any,
-                    apply: Optional[Callable[..., None]] = None) -> int:
-        """Replay the log op-for-op into an
-        :class:`~repro.core.store.AdmissionStore`.
-
-        The store-level recovery primitive behind
-        :meth:`SwitchCAC.recover`: every entry re-runs the exact leg
-        bookkeeping and incremental aggregate delta of the original
-        transition, in the original order, so the rebuilt state is
-        bit-identical to what the journaled sequence produced live.
-        ``apply`` overrides the delta application (the switch passes its
-        own instrumented ``_apply``); the default goes straight to
-        ``store.apply_delta``.  Returns the number of entries replayed.
-
-        The caller is responsible for clearing the store first and for
-        deciding what to do with reservations that never committed
-        (recovery discards them as aborted in-flight transactions).
-        """
-        delta = apply if apply is not None else store.apply_delta
-        for entry in self._entries:
-            if entry.op in ("reserve", "admit"):
-                leg = entry.leg
-                if entry.op == "reserve":
-                    store.put_pending(entry.connection_id, leg)
-                else:
-                    store.put_committed(entry.connection_id, leg)
-                delta(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                      True)
-            elif entry.op == "commit":
-                leg = store.pop_pending(entry.connection_id)
-                store.put_committed(entry.connection_id, leg)
-            elif entry.op == "abort":
-                leg = store.pop_pending(entry.connection_id)
-                delta(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                      False)
-            elif entry.op == "release":
-                leg = store.pop_committed(entry.connection_id)
-                delta(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                      False)
-        return len(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,19 +1,19 @@
-"""The layered state: PortState and the AdmissionStore behind a switch.
+"""The two state layers: PortState per port, SwitchCAC per switch.
 
 The layering contract (``docs/architecture.md``): a pure
 :class:`PortState` per (out_link, priority) owns the aggregates and
-incremental caches; one :class:`AdmissionStore` per switch holds every
-port, the committed/pending legs and the in-link ledger, and
-``SwitchCAC`` routes *all* state through it.
+incremental caches; the :class:`SwitchCAC` owning it holds every port,
+the committed/pending legs, the journal and the in-link ledger.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from repro.core import AdmissionStore, SwitchCAC
+from repro.core import SwitchCAC
 from repro.core.bitstream import aggregate
 from repro.core.port_state import PortState
+from repro.core.switch_cac import Leg
 from repro.core.traffic import cbr
 from repro.exceptions import AdmissionError
 
@@ -111,7 +111,7 @@ class TestPortState:
 
 
 # ----------------------------------------------------------------------
-# AdmissionStore: the state behind one switch
+# SwitchCAC: the legs, journal and ports of one switch
 # ----------------------------------------------------------------------
 
 
@@ -149,11 +149,9 @@ def test_snapshot_restore_round_trip():
         for priority in source.priorities(link):
             assert streams_equal(target.soa(link, priority),
                                  source.soa(link, priority))
-    # ``legs`` is the caller's copy; the store hands out read-only views
+    # ``legs`` is the caller's copy
     target.legs.clear()
     assert list(target.legs) == list(source.legs)
-    with pytest.raises(TypeError):
-        target.store.committed()["vc9"] = None
     # the restore journaled everything: crash recovery still works and
     # discards the restored (uncommitted) reservation
     target.crash()
@@ -174,26 +172,49 @@ def test_out_links_and_priorities_are_sorted():
         switch.configure_link(link, {3: 96, 0: 32, 1: 64})
     assert switch.out_links() == ["out-a", "out-m", "out-z"]
     assert switch.priorities("out-z") == [0, 1, 3]
-    assert [(p.out_link, p.priority) for p in switch.store.ports()] == [
-        (link, priority)
-        for link in ["out-a", "out-m", "out-z"]
-        for priority in [0, 1, 3]
-    ]
 
 
 def test_clear_volatile_keeps_configuration():
-    store = AdmissionStore()
-    store.configure_link("out", {0: 32})
-    store.clear_volatile()
-    assert store.out_links() == ["out"]
-    assert store.priorities("out") == [0]
-    assert not store.committed() and not store.pending()
+    switch = SwitchCAC("sw")
+    switch.configure_link("out", {0: 32})
+    switch.admit("vc0", "in-a", "out", 0, stream(F(1, 10)))
+    switch.crash()
+    assert switch.out_links() == ["out"]
+    assert switch.priorities("out") == [0]
+    assert switch.advertised_bound("out", 0) == 32
+    assert not switch.legs and not switch.pending
+    assert switch.in_link_utilization("in-a") == 0
 
 
 def test_unknown_port_raises_admission_error():
-    store = AdmissionStore()
-    store.configure_link("out", {0: 32})
+    switch = SwitchCAC("sw")
+    switch.configure_link("out", {0: 32})
     with pytest.raises(AdmissionError):
-        store.port("out", 7)
+        switch.port("out", 7)
     with pytest.raises(AdmissionError):
-        store.port("nope", 0)
+        switch.port("nope", 0)
+
+
+@pytest.mark.parametrize("bad_leg", [
+    Leg("vc9", "in-a", "out-x", 0, stream(F(1, 20))),  # unconfigured link
+    Leg("vc9", "in-a", "out-a", 1, stream(F(1, 20))),  # unserved priority
+    Leg("vc0", "in-b", "out-b", 2, stream(F(1, 20))),  # duplicate id
+], ids=["unknown-link", "unknown-priority", "duplicate-id"])
+def test_restore_state_refuses_a_bad_snapshot_untouched(bad_leg):
+    """A snapshot from outside the program is checked before any write."""
+    source = drive(SwitchCAC("sw"))
+    good = source.snapshot_state()["committed"]
+    target = SwitchCAC("sw2")
+    for link in source.out_links():
+        target.configure_link(link, {0: 32, 2: 96})
+    with pytest.raises(AdmissionError):
+        target.restore_state({"committed": good, "pending": [bad_leg]})
+    assert not target.legs and not target.pending
+    assert len(target.journal) == 0
+    assert target.verify_consistency()
+    # the refused restore left nothing a crash/recover cycle trips on
+    target.crash()
+    target.recover()
+    assert not target.legs and target.verify_consistency()
+    target.restore_state({"committed": good, "pending": []})
+    assert list(target.legs) == list(source.legs)

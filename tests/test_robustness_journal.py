@@ -1,17 +1,28 @@
-"""Journal semantics, crash/recover, and the double-release regression."""
+"""Journal semantics, crash/recover, and the double-release regression.
 
+The boundary corpus at the end scales with the ``FAULT_SCHEDULES``
+environment variable, like the other fault suites (the CI stress job
+sets 500).
+"""
+
+import os
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from repro.core.admission import NetworkCAC
-from repro.core.switch_cac import SwitchCAC
-from repro.core.traffic import cbr
+from repro.core.switch_cac import Leg, SwitchCAC
+from repro.core.traffic import VBRParameters, cbr
 from repro.exceptions import AdmissionError, SwitchUnavailable
 from repro.network.connection import ConnectionRequest
 from repro.network.routing import shortest_path
 from repro.network.topology import line_network
-from repro.robustness.journal import AdmissionJournal, JournalEntry
+from repro.robustness.journal import (JOURNAL_OPS, AdmissionJournal,
+                                      JournalEntry)
+
+#: Seeded op scripts in the crash-at-every-boundary corpus.
+BOUNDARY_SEEDS = max(4, int(os.environ.get("FAULT_SCHEDULES", "60")) // 10)
 
 
 def stream(rate):
@@ -215,3 +226,121 @@ class TestDoubleReleaseRegression:
         for switch in cac.switches().values():
             assert switch.legs == {}
             assert switch.verify_consistency()
+
+
+# ----------------------------------------------------------------------
+# Crash at every journal boundary
+# ----------------------------------------------------------------------
+
+OUT_LINKS = ("out-a", "out-b")
+IN_LINKS = ("in-a", "in-b")
+BOUNDS = {0: 24.0, 1: 96.0}
+SCRIPT_OPS = ("admit", "reserve", "reserve_checked", "commit", "rollback",
+              "expire", "release")
+
+
+def boundary_switch():
+    switch = SwitchCAC("sw")
+    for link in OUT_LINKS:
+        switch.configure_link(link, BOUNDS)
+    return switch
+
+
+def random_float_stream(rng):
+    """A float CBR or VBR envelope, clumped by a float CDV."""
+    if rng.random() < 0.5:
+        traffic = cbr(rng.uniform(0.02, 0.2))
+    else:
+        traffic = VBRParameters(rng.uniform(0.3, 1.0),
+                                rng.uniform(0.02, 0.15), rng.randint(2, 6))
+    return traffic.worst_case_stream().delayed(rng.uniform(0.0, 20.0))
+
+
+def run_op(switch, op, arg):
+    """One scripted call; refusals write nothing and are ignored."""
+    try:
+        if op == "reserve_checked":
+            batch = switch.check_batch([arg])
+            if batch.admitted:
+                switch.reserve_checked(arg, batch.results[arg.connection_id])
+        elif op in ("admit", "reserve"):
+            getattr(switch, op)(arg.connection_id, arg.in_link,
+                                arg.out_link, arg.priority, arg.stream)
+        else:
+            getattr(switch, op)(arg)
+    except AdmissionError:
+        pass
+
+
+def op_script(seed, length=32):
+    """A seeded op sequence, drawn against the state it produces."""
+    rng = random.Random(seed)
+    switch = boundary_switch()
+    script = []
+    for index in range(length):
+        op = rng.choice(SCRIPT_OPS)
+        if op in ("admit", "reserve", "reserve_checked"):
+            arg = Leg(f"c{index}", rng.choice(IN_LINKS),
+                      rng.choice(OUT_LINKS), rng.choice(sorted(BOUNDS)),
+                      random_float_stream(rng))
+        else:
+            pool = {
+                "commit": list(switch.pending),
+                "expire": list(switch.pending),
+                "release": list(switch.legs),
+            }.get(op, list(switch.legs) + list(switch.pending))
+            arg = rng.choice(pool + ["ghost"])
+        script.append((op, arg))
+        run_op(switch, op, arg)
+    return script, switch
+
+
+def state_of(switch):
+    """Legs in order, Sia by repr, ledger sums and journal op sequence."""
+    ports = [(link, priority) for link in OUT_LINKS for priority in BOUNDS]
+    return {
+        "legs": list(switch.legs.items()),
+        "pending": list(switch.pending.items()),
+        "sia": {(in_link, link, priority):
+                repr(switch.sia(in_link, link, priority))
+                for in_link in IN_LINKS for link, priority in ports},
+        "ledger": {(port.out_link, port.priority):
+                   (port.ledger_rate, port.ledger_burst,
+                    port.ledger_higher_rate, port.ledger_higher_burst)
+                   for port in (switch.port(*key) for key in ports)},
+        "in_links": {in_link: switch.in_link_utilization(in_link)
+                     for in_link in IN_LINKS},
+        "journal": [(entry.op, entry.connection_id)
+                    for entry in switch.journal],
+    }
+
+
+def test_boundary_scripts_write_every_journal_op():
+    written = set()
+    for seed in range(BOUNDARY_SEEDS):
+        _script, switch = op_script(seed)
+        written.update(entry.op for entry in switch.journal)
+    assert written == set(JOURNAL_OPS)
+
+
+@pytest.mark.parametrize("seed", range(BOUNDARY_SEEDS))
+def test_crash_at_every_journal_boundary(seed):
+    """Recovery from a crash after any prefix equals a clean unwind.
+
+    Each scripted op writes at most one journal entry, so every prefix
+    ends on a journal boundary.  One twin crashes there and recovers;
+    the other rolls its pending legs back live, in insertion order --
+    exactly what recovery must reproduce, bit for bit.
+    """
+    script, _final = op_script(seed)
+    for k in range(len(script) + 1):
+        crashed, unwound = boundary_switch(), boundary_switch()
+        for op, arg in script[:k]:
+            run_op(crashed, op, arg)
+            run_op(unwound, op, arg)
+        crashed.crash()
+        crashed.recover()
+        for connection_id in list(unwound.pending):
+            unwound.rollback(connection_id)
+        assert state_of(crashed) == state_of(unwound), f"prefix {k}"
+        assert crashed.verify_consistency(), f"prefix {k}"
